@@ -545,7 +545,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := server.FingerprintConfig(cfg)
+	fp := cfg.Fingerprint()
 
 	rt.mu.Lock()
 	full := rt.inflight >= rt.cfg.MaxInFlight

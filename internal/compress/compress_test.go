@@ -2,9 +2,11 @@ package compress
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -421,32 +423,66 @@ func TestVFTSaturationAndCapacity(t *testing.T) {
 	for i := 0; i < vftCounterMax+100; i++ {
 		vft.Observe(1)
 	}
-	if c := vft.Snapshot()[1]; c != vftCounterMax {
-		t.Fatalf("counter = %d, want saturated %d", c, vftCounterMax)
+	counts := vft.AppendCounts(nil)
+	for i := 1; i < len(counts); i++ {
+		if counts[i-1].Value >= counts[i].Value {
+			t.Fatalf("AppendCounts not sorted by value: %+v", counts)
+		}
+	}
+	for _, vc := range counts {
+		if vc.Value == 1 && vc.Count != vftCounterMax {
+			t.Fatalf("counter = %d, want saturated %d", vc.Count, vftCounterMax)
+		}
 	}
 }
 
+// scFromCounts builds an SC code book straight from value counts,
+// bypassing the VFT and its 12-bit saturation.
+func scFromCounts(counts map[uint32]uint16) *SC {
+	sc := NewSC()
+	sc.scratch = newHuffBuilder(len(counts) + 1)
+	sc.table = newHuffTable(len(counts) + 1)
+	for v, c := range counts {
+		sc.scratch.counts = append(sc.scratch.counts, ValueCount{Value: v, Count: c})
+	}
+	slices.SortFunc(sc.scratch.counts, func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
+	sc.scratch.build(sc.table)
+	return sc
+}
+
+// codeOf returns the code-book entry for value v.
+func codeOf(t *testing.T, book []CodeEntry, v uint32) CodeEntry {
+	t.Helper()
+	for _, e := range book {
+		if !e.Escape && e.Value == v {
+			return e
+		}
+	}
+	t.Fatalf("value %d not in the code book", v)
+	return CodeEntry{}
+}
+
 func TestHuffCanonicalDecode(t *testing.T) {
-	counts := map[uint32]uint16{10: 100, 20: 50, 30: 20, 40: 5, 50: 1}
-	tab := buildHuffTable(counts)
-	if tab == nil {
-		t.Fatal("nil table")
+	sc := scFromCounts(map[uint32]uint16{10: 100, 20: 50, 30: 20, 40: 5, 50: 1})
+	book := sc.CodeBook()
+	if book == nil {
+		t.Fatal("nil code book")
 	}
 	// More frequent symbols must not get longer codes.
-	if tab.codes[10].len > tab.codes[50].len {
-		t.Errorf("code(10).len=%d > code(50).len=%d", tab.codes[10].len, tab.codes[50].len)
+	if c10, c50 := codeOf(t, book, 10), codeOf(t, book, 50); c10.Len > c50.Len {
+		t.Errorf("code(10).len=%d > code(50).len=%d", c10.Len, c50.Len)
 	}
 	// Encode then decode each symbol.
-	for v, c := range tab.codes {
+	for _, c := range book {
 		var w bitWriter
-		w.WriteBits(c.bits, c.len)
+		w.WriteBits(c.Bits, c.Len)
 		r := bitReader{buf: w.Bytes()}
-		sym, err := tab.decodeSymbol(&r)
+		sym, err := sc.table.decodeSymbol(&r)
 		if err != nil {
-			t.Fatalf("decode %d: %v", v, err)
+			t.Fatalf("decode %+v: %v", c, err)
 		}
-		if sym.escape || sym.value != v {
-			t.Fatalf("decode %d: got %+v", v, sym)
+		if sym.escape != c.Escape || sym.value != c.Value {
+			t.Fatalf("decode %+v: got %+v", c, sym)
 		}
 	}
 }
@@ -462,10 +498,9 @@ func TestHuffLengthBound(t *testing.T) {
 			b = vftCounterMax
 		}
 	}
-	tab := buildHuffTable(counts)
-	for v, c := range tab.codes {
-		if c.len > maxCodeLen {
-			t.Fatalf("code for %d has length %d > bound %d", v, c.len, maxCodeLen)
+	for _, c := range scFromCounts(counts).CodeBook() {
+		if c.Len > maxCodeLen {
+			t.Fatalf("code for %+v has length %d > bound %d", c, c.Len, maxCodeLen)
 		}
 	}
 }

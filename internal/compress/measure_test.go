@@ -71,3 +71,32 @@ func TestMeasureAllocationFree(t *testing.T) {
 		})
 	}
 }
+
+// TestSCRebuildAllocationFree: the code book and its build scratch are
+// allocated on the first rebuild only; every later period's Train and
+// Rebuild reuse them, whatever the size of the new book.
+func TestSCRebuildAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	lines := make([][]byte, 256)
+	for i := range lines {
+		lines[i] = lineGenerators["random"](rng) // fills the VFT: a full-size book
+	}
+	sc := NewSC()
+	period := func() {
+		for _, l := range lines {
+			sc.Train(l)
+		}
+		sc.Rebuild()
+	}
+	period()
+	if allocs := testing.AllocsPerRun(20, period); allocs != 0 {
+		t.Errorf("Train+Rebuild allocates %.1f times per period after the first, want 0", allocs)
+	}
+	small := lineGenerators["small-ints"](rng)
+	if allocs := testing.AllocsPerRun(20, func() {
+		sc.Train(small)
+		sc.Rebuild()
+	}); allocs != 0 {
+		t.Errorf("a small rebuild allocates %.1f times, want 0", allocs)
+	}
+}

@@ -1,8 +1,9 @@
 package compress
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SC implements Huffman-coding based Statistical Compression (Arelakis &
@@ -21,9 +22,16 @@ import (
 // Because a rebuild invalidates every line encoded under the old code
 // book, Encoded values carry the code-book generation, and the cache
 // flushes compressed lines when the controller requests the rebuild.
+//
+// Like the hardware tables, the code book and the scratch it is built
+// in are fixed-size: allocated on the first Rebuild and rewritten in
+// place at every later one. In-place reuse is safe because each SM's
+// cache owns its codecs, and Decompress rejects a line from an older
+// generation before it reads the table.
 type SC struct {
 	vft        *VFT
 	table      *huffTable
+	scratch    *huffBuilder
 	generation uint64
 }
 
@@ -64,14 +72,19 @@ func (s *SC) Train(line []byte) {
 // lines for an unchanged book would be pure waste. It reports whether the
 // code book changed (callers flush stale lines only in that case).
 func (s *SC) Rebuild() bool {
-	counts := s.vft.Snapshot()
-	if len(counts) == 0 {
+	if s.vft.Len() == 0 {
 		return false
 	}
+	if s.scratch == nil {
+		s.scratch = newHuffBuilder(s.vft.capacity + 1)
+		s.table = newHuffTable(s.vft.capacity + 1)
+	}
+	b := s.scratch
+	b.counts = s.vft.AppendCounts(b.counts[:0])
 	s.vft.Reset()
 	s.generation++
-	s.table = buildHuffTable(counts)
-	return s.table != nil
+	b.build(s.table)
+	return true
 }
 
 // Compress implements Codec. Each 32-bit word is emitted as its Huffman
@@ -272,22 +285,31 @@ func (t *VFT) Observe(v uint32) {
 // Len returns the number of tracked values.
 func (t *VFT) Len() int { return t.size }
 
-// Snapshot returns the tracked values and counts.
-func (t *VFT) Snapshot() map[uint32]uint16 {
-	out := make(map[uint32]uint16, t.size)
+// ValueCount is one VFT entry: a tracked value and its saturating count.
+type ValueCount struct {
+	Value uint32
+	Count uint16
+}
+
+// AppendCounts appends the tracked values and their counts to dst,
+// sorted by value, and returns the extended slice. It allocates nothing
+// when dst has room for Len more entries.
+//
+//lint:hotpath
+func (t *VFT) AppendCounts(dst []ValueCount) []ValueCount {
+	start := len(dst)
 	for i, u := range t.used {
 		if u {
-			out[t.keys[i]] = t.counts[i]
+			dst = append(dst, ValueCount{Value: t.keys[i], Count: t.counts[i]})
 		}
 	}
-	return out
+	slices.SortFunc(dst[start:], func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
+	return dst
 }
 
 // Reset clears the table.
 func (t *VFT) Reset() {
-	for i := range t.used {
-		t.used[i] = false
-	}
+	clear(t.used)
 	t.size = 0
 }
 
@@ -305,9 +327,9 @@ type huffSymbol struct {
 
 // huffTable is a canonical Huffman code book over 32-bit values plus one
 // escape symbol, with a first-code decoding table (the DeLUT analogue).
+// It is sized once for the largest book and rewritten by assign.
 type huffTable struct {
-	codes  map[uint32]huffCode // full book, for inspection and tests
-	lookup codeIndex           // open-addressed mirror of codes for the hot encode paths
+	lookup codeIndex // value -> code, for the hot encode paths
 	escape huffCode
 	// canonical decode structures, indexed by code length 1..maxCodeLen
 	firstCode  [maxCodeLen + 1]uint64
@@ -316,14 +338,21 @@ type huffTable struct {
 	symbols    []huffSymbol // in canonical order
 }
 
+func newHuffTable(maxSymbols int) *huffTable {
+	return &huffTable{
+		lookup:  newCodeIndex(maxSymbols),
+		symbols: make([]huffSymbol, 0, maxSymbols),
+	}
+}
+
 // maxCodeLen bounds code lengths; frequencies are flattened until the
 // bound holds, which mirrors the fixed-width DeLUT of the hardware.
 const maxCodeLen = 24
 
 // codeIndex is an open-addressed (linear-probing) value→code lookup,
-// built once per Rebuild and read-only afterwards. Compress/Measure
-// probe it once per 32-bit word of every line; see the VFT comment for
-// why this beats a Go map on that path.
+// sized for the largest book, rewritten at each Rebuild and read-only
+// in between. Compress/Measure probe it once per 32-bit word of every
+// line; see the VFT comment for why this beats a Go map on that path.
 type codeIndex struct {
 	keys  []uint32
 	codes []huffCode
@@ -369,10 +398,10 @@ func (t *codeIndex) get(v uint32) (huffCode, bool) {
 	return huffCode{}, false
 }
 
-// huffNode is a Huffman construction tree node. Nodes live in one slab
-// per huffLengths call, addressed by index; the index doubles as the
-// creation-order tie-break, so ordering by (weight, index) is total and
-// the merge sequence is deterministic.
+// huffNode is a Huffman construction tree node. Nodes live in one slab,
+// leaves first and then internal nodes in creation order, addressed by
+// index; the index doubles as the tie-break, so ordering by (weight,
+// index) is total and the merge sequence is deterministic.
 type huffNode struct {
 	weight      uint64
 	left, right int32 // slab indices of children, -1 for leaves
@@ -380,85 +409,90 @@ type huffNode struct {
 	depth       uint32
 }
 
-// buildHuffTable constructs a canonical, length-bounded Huffman code book
-// from value counts, adding an escape symbol with weight 1. Returns nil if
-// there is nothing to encode.
-func buildHuffTable(counts map[uint32]uint16) *huffTable {
-	type sym struct {
-		value  uint32
-		escape bool
-		weight uint64
-	}
-	syms := make([]sym, 0, len(counts)+1)
-	//lint:allow determinism symbols are sorted by value immediately below, erasing map order
-	for v, c := range counts {
-		syms = append(syms, sym{value: v, weight: uint64(c)})
-	}
-	// Deterministic ordering for reproducible code books.
-	sort.Slice(syms, func(i, j int) bool { return syms[i].value < syms[j].value })
-	syms = append(syms, sym{escape: true, weight: 1})
-	if len(syms) < 2 {
-		return nil
-	}
+// huffBuilder is the scratch a code-book rebuild works in, sized once
+// for the largest book (a full VFT plus the escape) and reused by every
+// later rebuild.
+type huffBuilder struct {
+	counts     []ValueCount // VFT contents, sorted by value
+	weights    []uint64     // per symbol: the counts, then the escape
+	lengths    []uint
+	nodes      []huffNode
+	order, tmp []int32 // leaf slab indices, sorted by (weight, index)
+}
 
-	weights := make([]uint64, len(syms))
-	for i, s := range syms {
-		weights[i] = s.weight
+func newHuffBuilder(maxSymbols int) *huffBuilder {
+	return &huffBuilder{
+		counts:  make([]ValueCount, 0, maxSymbols-1),
+		weights: make([]uint64, maxSymbols),
+		lengths: make([]uint, maxSymbols),
+		nodes:   make([]huffNode, 2*maxSymbols-1),
+		order:   make([]int32, maxSymbols),
+		tmp:     make([]int32, maxSymbols),
 	}
-	lengths := huffLengths(weights)
+}
+
+// build writes into t the canonical, length-bounded Huffman code book
+// for b.counts plus an escape symbol of weight 1. Symbol i is the i-th
+// value in value order; the escape comes last.
+//
+//lint:hotpath
+func (b *huffBuilder) build(t *huffTable) {
+	n := len(b.counts) + 1
+	weights := b.weights[:n]
+	for i, c := range b.counts {
+		weights[i] = uint64(c.Count)
+	}
+	weights[n-1] = 1
+	lengths := b.huffLengths(weights)
 	// Flatten frequencies until the length bound holds.
 	for tooLong(lengths) {
 		for i := range weights {
 			weights[i] = weights[i]/2 + 1
 		}
-		lengths = huffLengths(weights)
+		lengths = b.huffLengths(weights)
 	}
+	t.assign(b.counts, lengths)
+}
 
-	// Canonical assignment: sort symbols by (length, index).
-	idx := make([]int, len(syms))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if lengths[idx[a]] != lengths[idx[b]] {
-			return lengths[idx[a]] < lengths[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-
-	t := &huffTable{
-		codes:  make(map[uint32]huffCode, len(syms)),
-		lookup: newCodeIndex(len(syms)),
-	}
-	t.symbols = make([]huffSymbol, len(syms))
-	var code uint64
-	var prevLen uint
-	for rank, i := range idx {
-		l := lengths[i]
-		if l == 0 {
-			l = 1 // degenerate single-symbol case
-		}
-		code <<= l - prevLen
-		prevLen = l
-		hc := huffCode{bits: code, len: l}
-		if syms[i].escape {
-			t.escape = hc
-		} else {
-			t.codes[syms[i].value] = hc
-			t.lookup.put(syms[i].value, hc)
-		}
-		t.symbols[rank] = huffSymbol{value: syms[i].value, escape: syms[i].escape}
-		if t.countAtLen[l] == 0 {
-			t.firstCode[l] = code
-			t.firstIndex[l] = rank
-		}
+// assign fills t with canonical codes for the given lengths: codes are
+// handed out in (length, symbol index) order, each length starting at
+// (previous length's first code + its count) << 1. A counting sort over
+// the length buckets places every symbol at its canonical rank.
+//
+//lint:hotpath
+func (t *huffTable) assign(counts []ValueCount, lengths []uint) {
+	t.countAtLen = [maxCodeLen + 1]int{}
+	for _, l := range lengths {
 		t.countAtLen[l]++
-		code++
 	}
-	return t
+	var code uint64
+	rank := 0
+	for l := 1; l <= maxCodeLen; l++ {
+		t.firstCode[l] = code
+		t.firstIndex[l] = rank
+		code = (code + uint64(t.countAtLen[l])) << 1
+		rank += t.countAtLen[l]
+	}
+	next := t.firstIndex
+	t.symbols = t.symbols[:len(lengths)]
+	clear(t.lookup.used)
+	for i, l := range lengths {
+		r := next[l]
+		next[l]++
+		hc := huffCode{bits: t.firstCode[l] + uint64(r-t.firstIndex[l]), len: l}
+		if i == len(counts) {
+			t.escape = hc
+			t.symbols[r] = huffSymbol{escape: true}
+			continue
+		}
+		t.symbols[r] = huffSymbol{value: counts[i].Value}
+		t.lookup.put(counts[i].Value, hc)
+	}
 }
 
 // tooLong reports whether any code length exceeds the DeLUT bound.
+//
+//lint:hotpath
 func tooLong(lengths []uint) bool {
 	for _, l := range lengths {
 		if l > maxCodeLen {
@@ -468,80 +502,45 @@ func tooLong(lengths []uint) bool {
 	return false
 }
 
-// huffLengths computes Huffman code lengths for the given weights.
-// Rebuild calls this from the flatten loop on every EP that retrains, so
-// the construction is allocation-lean: one node slab and one index heap
-// instead of a boxed pointer node per symbol and merge (which used to be
-// ~90% of the simulator's total allocation count). The heap orders by
-// (weight, slab index); slab index equals creation order, the ordering
-// is total, and the pop/merge sequence — and therefore every code
-// length — is identical to the container/heap version this replaces.
-func huffLengths(weights []uint64) []uint {
+// huffLengths computes Huffman code lengths for the given weights into
+// b.lengths, in linear time with the two-queue construction. Leaves
+// are sorted once by (weight, index); internal nodes are created with
+// nondecreasing weights, so they form a second sorted queue in slab
+// order. Each merge pops the lighter head of the two queues, the leaf
+// on a weight tie because its slab index is lower. That is the (weight,
+// slab index) order a binary heap over the slab pops in, so the merge
+// sequence, and every code length, matches the heap construction.
+//
+//lint:hotpath
+func (b *huffBuilder) huffLengths(weights []uint64) []uint {
 	n := len(weights)
-	lengths := make([]uint, n)
+	lengths := b.lengths[:n]
 	if n == 0 {
 		return lengths
 	}
-	nodes := make([]huffNode, n, 2*n-1)
+	nodes := b.nodes[:n]
 	for i, w := range weights {
 		nodes[i] = huffNode{weight: w, sym: int32(i), left: -1, right: -1}
 	}
-	less := func(a, b int32) bool {
-		if nodes[a].weight != nodes[b].weight {
-			return nodes[a].weight < nodes[b].weight
+	leaves := sortLeaves(nodes, b.order[:n], b.tmp[:n])
+	li, qi := 0, n
+	for len(nodes) < 2*n-1 {
+		var pair [2]int32
+		for k := range pair {
+			if li < n && (qi == len(nodes) || nodes[leaves[li]].weight <= nodes[qi].weight) {
+				pair[k] = leaves[li]
+				li++
+			} else {
+				pair[k] = int32(qi)
+				qi++
+			}
 		}
-		return a < b
-	}
-	h := make([]int32, n)
-	for i := range h {
-		h[i] = int32(i)
-	}
-	down := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				return
-			}
-			c := l
-			if r := l + 1; r < len(h) && less(h[r], h[l]) {
-				c = r
-			}
-			if !less(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	pop := func() int32 {
-		top := h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		down(0)
-		return top
-	}
-	for len(h) > 1 {
-		a := pop()
-		b := pop()
-		nodes = append(nodes, huffNode{weight: nodes[a].weight + nodes[b].weight, left: a, right: b, sym: -1})
-		// Push: sift the newly created node up from the tail.
-		h = append(h, int32(len(nodes)-1))
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(h[i], h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
+		a, c := pair[0], pair[1]
+		nodes = append(nodes, huffNode{weight: nodes[a].weight + nodes[c].weight, left: a, right: c, sym: -1})
 	}
 	// Children precede their parent in the slab, so one reverse pass from
 	// the root assigns every leaf depth.
-	root := h[0]
-	for i := int(root); i >= 0; i-- {
+	for i := len(nodes) - 1; i >= 0; i-- {
 		nd := &nodes[i]
 		if nd.sym >= 0 {
 			lengths[nd.sym] = uint(nd.depth)
@@ -551,6 +550,38 @@ func huffLengths(weights []uint64) []uint {
 		}
 	}
 	return lengths
+}
+
+// sortLeaves returns the leaf slab indices 0..len(order)-1 sorted by
+// (weight, index), using order and tmp as the two buffers of a stable
+// LSD radix sort over 8-bit digits of the weight. VFT counts are 12-bit,
+// so that is two linear passes.
+//
+//lint:hotpath
+func sortLeaves(nodes []huffNode, order, tmp []int32) []int32 {
+	var top uint64
+	for i := range order {
+		order[i] = int32(i)
+		top |= nodes[i].weight
+	}
+	for shift := uint(0); top>>shift != 0; shift += 8 {
+		var start [256]int
+		for _, i := range order {
+			start[nodes[i].weight>>shift&0xff]++
+		}
+		pos := 0
+		for d, c := range start {
+			start[d] = pos
+			pos += c
+		}
+		for _, i := range order {
+			d := nodes[i].weight >> shift & 0xff
+			tmp[start[d]] = i
+			start[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
 }
 
 // decodeSymbol reads one canonical code from the stream.

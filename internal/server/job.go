@@ -118,20 +118,27 @@ func (j *Job) setRunning() {
 
 // complete finishes the job with its results.
 func (j *Job) complete(results []RunResult) {
-	j.mu.Lock()
-	j.state = stateDone
-	j.results = results
-	j.mu.Unlock()
-	j.appendEvent(Event{Type: "done", Data: map[string]any{"id": j.id, "runs": len(results)}})
+	j.finish(stateDone, results, "", Event{Type: "done", Data: map[string]any{"id": j.id, "runs": len(results)}})
 }
 
 // fail finishes the job with an error.
 func (j *Job) fail(msg string) {
+	j.finish(stateFailed, nil, msg, Event{Type: "failed", Data: map[string]any{"id": j.id, "error": msg}})
+}
+
+// finish moves the job to a terminal state and appends the terminal
+// event in one critical section: a snapshot that sees the terminal
+// state always sees its event too, so an SSE stream that stops on the
+// state never closes without the done/failed frame.
+func (j *Job) finish(state jobState, results []RunResult, errMsg string, ev Event) {
 	j.mu.Lock()
-	j.state = stateFailed
-	j.errMsg = msg
+	j.state = state
+	j.results = results
+	j.errMsg = errMsg
+	j.events = append(j.events, ev)
+	close(j.notify)
+	j.notify = make(chan struct{})
 	j.mu.Unlock()
-	j.appendEvent(Event{Type: "failed", Data: map[string]any{"id": j.id, "error": msg}})
 }
 
 // noteFresh records a reporter event for one of this job's runs and
@@ -358,15 +365,3 @@ func (o *ConfigOverrides) Apply(cfg sim.Config) (sim.Config, error) {
 	}
 	return cfg, nil
 }
-
-// fingerprint keys resident suites by machine. The fold itself lives on
-// sim.Config.Fingerprint so the harness's persistent result store keys
-// entries with the exact value the daemon files suites under (and the
-// router hashes for affinity routing).
-// FingerprintConfig exposes the fingerprint to the cluster router: the
-// router hashes the same key the worker will file the job's suite
-// under, which is what makes fingerprint-affinity routing line up with
-// worker-side cache residency.
-func FingerprintConfig(cfg sim.Config) uint64 { return fingerprint(cfg) }
-
-func fingerprint(cfg sim.Config) uint64 { return cfg.Fingerprint() }

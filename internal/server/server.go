@@ -287,7 +287,7 @@ func variantSpec(v harness.Variant) VariantSpec {
 // suiteFor returns the resident suite for cfg, creating it (with the
 // server's fan-out reporter attached) on first use.
 func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
-	fp := fingerprint(cfg)
+	fp := cfg.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.suites[fp]; ok {

@@ -440,6 +440,37 @@ func TestSSEEvents(t *testing.T) {
 	}
 }
 
+// TestTerminalStateCarriesEvent races complete/fail against a snapshot
+// loop, the way handleEvents polls: whenever a snapshot reports a
+// terminal state, its event log must already end with the matching
+// terminal event, or the SSE stream would close without it.
+func TestTerminalStateCarriesEvent(t *testing.T) {
+	for i := 0; i < 500; i++ {
+		j := newJob(fmt.Sprintf("job-%d", i), nil, nil, 0, 0)
+		want := "done"
+		go func(i int) {
+			if i%2 == 0 {
+				j.complete(nil)
+			} else {
+				j.fail("boom")
+			}
+		}(i)
+		if i%2 == 1 {
+			want = "failed"
+		}
+		for {
+			events, state, _ := j.snapshot()
+			if state != stateDone && state != stateFailed {
+				continue
+			}
+			if last := events[len(events)-1].Type; last != want {
+				t.Fatalf("job %d: state %s but last event %q, want %q", i, state, last, want)
+			}
+			break
+		}
+	}
+}
+
 // TestValidation covers the 400/404 surface and a deadline failure.
 func TestValidation(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -504,24 +535,24 @@ func TestValidation(t *testing.T) {
 // to one suite, any material override keys a new one.
 func TestFingerprint(t *testing.T) {
 	base := tinyConfig()
-	if fingerprint(base) != fingerprint(tinyConfig()) {
+	if base.Fingerprint() != tinyConfig().Fingerprint() {
 		t.Error("identical configs must share a fingerprint")
 	}
 	mut := base
 	mut.MSHRs++
-	if fingerprint(mut) == fingerprint(base) {
+	if mut.Fingerprint() == base.Fingerprint() {
 		t.Error("changed MSHRs must change the fingerprint")
 	}
 	mut = base
 	mut.Cache.SizeBytes *= 2
-	if fingerprint(mut) == fingerprint(base) {
+	if mut.Fingerprint() == base.Fingerprint() {
 		t.Error("changed L1 size must change the fingerprint")
 	}
 	// SMJobs only changes how fast a result is computed, never the
 	// result: suites must be shared across sm_jobs overrides.
 	mut = base
 	mut.SMJobs = 8
-	if fingerprint(mut) != fingerprint(base) {
+	if mut.Fingerprint() != base.Fingerprint() {
 		t.Error("SMJobs must not key a new suite; results are worker-count-invariant")
 	}
 }
