@@ -16,13 +16,9 @@ import (
 )
 
 // benchConfig is the reduced machine used by the simulation benches.
-// SMJobs = NumSMs exercises the epoch engine at full width; on CI
-// runners with spare cores this is also the fastest configuration,
-// and results are bit-identical to serial either way.
 func benchConfig() lattecc.Config {
 	cfg := lattecc.DefaultConfig()
 	cfg.NumSMs = 4
-	cfg.SMJobs = cfg.NumSMs
 	return cfg
 }
 

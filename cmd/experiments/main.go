@@ -37,18 +37,17 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list experiments and exit")
-		exp     = flag.String("exp", "", "experiment id to run (see -list)")
-		all     = flag.Bool("all", false, "run every experiment")
-		quick   = flag.Bool("quick", false, "use a smaller GPU (2 SMs) for a fast smoke pass")
-		tiny    = flag.Bool("tiny", false, "use the CI golden-gate machine (2 SMs, 120k-instruction cap)")
-		jobs    = flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (must be >= 1)")
-		smJobs  = flag.Int("smjobs", 0, "worker goroutines ticking SMs inside each simulation (0/1 = serial; results are bit-identical for any value)")
-		verbose = flag.Bool("v", false, "print per-run progress with ETA (stderr)")
-		csv     = flag.Bool("csv", false, "emit machine-readable CSV instead of aligned tables")
-		hashes  = flag.Bool("hashes", false, "print per-run StateHash lines instead of tables (daemon parity checks)")
-		golden  = flag.String("golden", "", "compare the rendered text output against this golden file")
-		update  = flag.Bool("update", false, "with -golden: rewrite the golden file instead of comparing")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		exp      = flag.String("exp", "", "experiment id to run (see -list)")
+		all      = flag.Bool("all", false, "run every experiment")
+		quick    = flag.Bool("quick", false, "use a smaller GPU (2 SMs) for a fast smoke pass")
+		tiny     = flag.Bool("tiny", false, "use the CI golden-gate machine (2 SMs, 120k-instruction cap)")
+		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (must be >= 1)")
+		verbose  = flag.Bool("v", false, "print per-run progress with ETA (stderr)")
+		csv      = flag.Bool("csv", false, "emit machine-readable CSV instead of aligned tables")
+		hashes   = flag.Bool("hashes", false, "print per-run StateHash lines instead of tables (daemon parity checks)")
+		golden   = flag.String("golden", "", "compare the rendered text output against this golden file")
+		update   = flag.Bool("update", false, "with -golden: rewrite the golden file instead of comparing")
 		store    = flag.String("store", "", "persistent result-store directory: reuse results across invocations (empty = off)")
 		traceDir = flag.String("trace-dir", "", "trace-corpus directory: register every <NAME>.lct/<NAME>.json pair as a replay workload")
 	)
@@ -69,11 +68,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: -jobs must be >= 1, got %d\n", *jobs)
 		os.Exit(2)
 	}
-	if *smJobs < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -smjobs must be >= 0, got %d\n", *smJobs)
-		os.Exit(2)
-	}
-
 	if *list {
 		for _, e := range harness.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
@@ -95,7 +89,6 @@ func main() {
 		// point is bit-exact reproducibility across runs and machines.
 		cfg.MaxInstructions = 120_000
 	}
-	cfg.SMJobs = *smJobs
 	suite := harness.NewSuite(cfg)
 	suite.Jobs = *jobs
 	if *verbose {

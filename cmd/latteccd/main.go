@@ -62,7 +62,6 @@ func main() {
 		addr      = flag.String("addr", ":8437", "listen address")
 		workers   = flag.Int("workers", 2, "jobs executing concurrently")
 		jobs      = flag.Int("jobs", 0, "simulation pool width per job (0 = GOMAXPROCS)")
-		smJobs    = flag.Int("smjobs", 0, "worker goroutines ticking SMs inside each simulation (0/1 = serial; results are bit-identical for any value)")
 		queue     = flag.Int("queue", 64, "admission queue depth (overflow answers 429)")
 		deadline  = flag.Duration("deadline", 5*time.Minute, "default per-job deadline")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
@@ -95,11 +94,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "latteccd: -queue must be >= 1, got %d\n", *queue)
 		os.Exit(2)
 	}
-	if *smJobs < 0 {
-		fmt.Fprintf(os.Stderr, "latteccd: -smjobs must be >= 0, got %d\n", *smJobs)
-		os.Exit(2)
-	}
-
 	cfg := sim.DefaultConfig()
 	if *quick || *tiny {
 		cfg.NumSMs = 2
@@ -109,7 +103,6 @@ func main() {
 		// comparable against the CLI's golden runs.
 		cfg.MaxInstructions = 120_000
 	}
-	cfg.SMJobs = *smJobs
 
 	// The advertise URL does double duty: it is what the registrar
 	// announces to the router AND the self-exclusion key for the

@@ -37,7 +37,6 @@ func main() {
 		capOnly      = flag.Bool("capacity-only", false, "zero decompression latency (Figure 3 study)")
 		latOnly      = flag.Bool("latency-only", false, "no capacity benefit (Figure 4 study)")
 		extraHit     = flag.Uint64("extra-hit-latency", 0, "added L1 hit latency (Figure 1 study)")
-		smJobs       = flag.Int("smjobs", 0, "worker goroutines ticking SMs inside each simulation (0/1 = serial; results are bit-identical for any value)")
 		jsonOut      = flag.Bool("json", false, "emit the full result as JSON")
 		traceDir     = flag.String("trace-dir", "", "trace-corpus directory: register every <NAME>.lct/<NAME>.json pair as a replay workload")
 	)
@@ -64,12 +63,6 @@ func main() {
 	if *l1KB > 0 {
 		cfg.Cache.SizeBytes = *l1KB * 1024
 	}
-	if *smJobs < 0 {
-		fmt.Fprintln(os.Stderr, "lattesim: -smjobs must be >= 0")
-		os.Exit(2)
-	}
-	cfg.SMJobs = *smJobs
-
 	suite := harness.NewSuite(cfg)
 	v := harness.Variant{
 		CapacityOnly:    *capOnly,

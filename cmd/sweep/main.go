@@ -60,7 +60,6 @@ func main() {
 		workloads  = flag.String("workloads", "SS,FW", "comma-separated benchmark names")
 		policyName = flag.String("policy", "LATTE-CC", "policy to measure (speedup vs Uncompressed)")
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (must be >= 1)")
-		smJobs     = flag.Int("smjobs", 0, "worker goroutines ticking SMs inside each simulation (0/1 = serial; results are bit-identical for any value)")
 		store      = flag.String("store", "", "persistent result-store directory shared by every sweep point (empty = off)")
 		traceDir   = flag.String("trace-dir", "", "trace-corpus directory: register every <NAME>.lct/<NAME>.json pair as a replay workload")
 	)
@@ -76,11 +75,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: -jobs must be >= 1, got %d\n", *jobs)
 		os.Exit(2)
 	}
-	if *smJobs < 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -smjobs must be >= 0, got %d\n", *smJobs)
-		os.Exit(2)
-	}
-
 	if *listParams {
 		names := make([]string, 0, len(params))
 		for n := range params {
@@ -135,7 +129,6 @@ func main() {
 	suites := make([]*harness.Suite, len(vals))
 	for i, v := range vals {
 		cfg := sim.DefaultConfig()
-		cfg.SMJobs = *smJobs
 		p.apply(&cfg, v)
 		suites[i] = harness.NewSuite(cfg)
 		if st != nil {

@@ -468,6 +468,7 @@ func TestRouterRejections(t *testing.T) {
 	}{
 		{"garbage", "{nope", http.StatusBadRequest},
 		{"unknown field", `{"wrkload":"BO"}`, http.StatusBadRequest},
+		{"unknown override", `{"workload":"BO","policy":"LATTE-CC","config":{"sm_jobs":2}}`, http.StatusBadRequest},
 		{"empty", `{}`, http.StatusBadRequest},
 		{"bad override", `{"workload":"BO","policy":"LATTE-CC","config":{"num_sms":-4}}`, http.StatusBadRequest},
 		{"no workers", `{"workload":"BO","policy":"LATTE-CC"}`, http.StatusServiceUnavailable},

@@ -162,10 +162,6 @@ type Controller struct {
 	tolEP      stats.Running // tolerance samples within the current EP
 	toleranceC float64       // tolerance estimate used for decisions (last EP mean)
 
-	// Trace, when non-nil, receives a snapshot of every EP decision
-	// (debugging and the experiment harness's agreement analysis).
-	Trace func(DecisionTrace)
-
 	// Instrumentation.
 	epLog     []modes.Mode // winner at each adaptive-phase EP boundary
 	epKernel  []int32      // kernel index active at each logged EP
@@ -415,26 +411,8 @@ func (c *Controller) epBoundary() modes.Directive {
 		c.epsInMode[c.winner]++
 		c.epLog = append(c.epLog, c.winner)
 		c.epKernel = append(c.epKernel, c.curKernel)
-		if c.Trace != nil {
-			c.Trace(DecisionTrace{
-				Hits:      c.hits,
-				Inserts:   c.inserts,
-				Tolerance: c.toleranceC,
-				MissLat:   c.missLatency(),
-				Winner:    c.winner,
-			})
-		}
 	}
 	return dir
-}
-
-// DecisionTrace is a debugging snapshot of one EP decision.
-type DecisionTrace struct {
-	Hits      [modes.NumModes]uint64
-	Inserts   [modes.NumModes]uint64
-	Tolerance float64
-	MissLat   float64
-	Winner    modes.Mode
 }
 
 // RecordMissLatency implements modes.Controller.

@@ -144,13 +144,16 @@ func TestGoroutineHygieneFixture(t *testing.T) {
 	}
 }
 
-// TestGoroutineHygieneScope: the same spawns outside server/harness/sim
-// are out of scope. (internal/sim joined the policed set with PR 7's
-// epoch engine — see TestGoroutineHygieneCoversSim.)
+// TestGoroutineHygieneScope: the same spawns outside the policed
+// packages are out of scope. Cycle-level packages such as internal/sim
+// are not policed here: the determinism rule bans their goroutines
+// outright (TestDeterminismConcurrency).
 func TestGoroutineHygieneScope(t *testing.T) {
-	p := loadFixture(t, "goroutine_fix.go", "lattecc/cmd/sweep", "")
-	if got := ruleFindings(p, "goroutine-hygiene"); len(got) != 0 {
-		t.Fatalf("goroutine-hygiene must only police server/harness/sim, got:\n%s", renderAll(got))
+	for _, pkg := range []string{"lattecc/cmd/sweep", "lattecc/internal/sim"} {
+		p := loadFixture(t, "goroutine_fix.go", pkg, "")
+		if got := ruleFindings(p, "goroutine-hygiene"); len(got) != 0 {
+			t.Fatalf("%s: goroutine-hygiene must only police goroutinePackages, got:\n%s", pkg, renderAll(got))
+		}
 	}
 }
 

@@ -29,35 +29,20 @@ var boundaryImports = map[string]string{
 	"net/http":                     "cycle-level code has no business speaking HTTP",
 }
 
-// parallelCyclePackages are cycle-level packages that may use sync
-// primitives and goroutines: the epoch engine in internal/sim runs
-// phase A of each cycle across a worker pool, which is legal because
-// workers touch only SM-private state and merge at a deterministic
-// barrier (DESIGN.md §12). Concurrency there is policed by
-// goroutine-hygiene and the lock contracts instead of banned outright.
-// Wall-clock time stays banned even here: a worker pool must never let
-// scheduling influence results, and a clock read is exactly such an
-// influence.
-var parallelCyclePackages = map[string]bool{
-	"lattecc/internal/sim": true,
-}
-
 // concurrencyImports bring scheduler-dependent execution into whatever
-// package imports them. Below the determinism boundary that is only
-// tolerable where a barrier protocol restores bit-identical results —
-// i.e. in parallelCyclePackages.
+// package imports them, which no cycle-level package may do.
 var concurrencyImports = map[string]bool{
 	"sync":        true,
 	"sync/atomic": true,
 }
 
 // checkDeterminism flags wall-clock reads, global math/rand draws, map
-// iteration, serving-layer imports, and — outside the epoch engine —
-// goroutines and sync imports inside cycle-level packages. Any of
-// these makes a run's result depend on something other than
-// (config, seed, trace). The same constructs are deliberately legal in
-// the layers above the boundary (internal/server, internal/harness,
-// cmd/*): a daemon needs clocks and sockets; the model must not.
+// iteration, serving-layer imports, and goroutines and sync imports
+// inside cycle-level packages. Any of these makes a run's result depend
+// on something other than (config, seed, trace). The same constructs
+// are deliberately legal in the layers above the boundary
+// (internal/server, internal/harness, cmd/*): a daemon needs clocks and
+// sockets; the model must not.
 func checkDeterminism(p *Package) []Finding {
 	if !cyclePackages[p.PkgPath] && !determinismOnlyPackages[p.PkgPath] {
 		return nil
@@ -82,8 +67,8 @@ func checkDeterminism(p *Package) []Finding {
 			if why, banned := boundaryImports[path]; banned {
 				report(imp, "import of %s crosses the determinism boundary: %s", path, why)
 			}
-			if concurrencyImports[path] && cyclePackages[p.PkgPath] && !parallelCyclePackages[p.PkgPath] {
-				report(imp, "import of %s brings scheduler-dependent concurrency into a cycle-level package; only the epoch engine (internal/sim) may coordinate goroutines", path)
+			if concurrencyImports[path] && cyclePackages[p.PkgPath] {
+				report(imp, "import of %s brings scheduler-dependent concurrency into a cycle-level package", path)
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -110,8 +95,8 @@ func checkDeterminism(p *Package) []Finding {
 					}
 				}
 			case *ast.GoStmt:
-				if cyclePackages[p.PkgPath] && !parallelCyclePackages[p.PkgPath] {
-					report(n, "go statement spawns a goroutine inside a cycle-level package; only the epoch engine (internal/sim) may run the model concurrently")
+				if cyclePackages[p.PkgPath] {
+					report(n, "go statement spawns a goroutine inside a cycle-level package; run separate simulations in parallel instead")
 				}
 			case *ast.RangeStmt:
 				t := p.Info.TypeOf(n.X)

@@ -6,12 +6,11 @@ import (
 	"go/types"
 )
 
-// goroutine-hygiene: the daemon, the harness, and (since PR 7) the
-// epoch engine own every goroutine the simulator spawns, and the
-// shutdown paths (drain/deadline/SIGTERM in the daemon, pool close at
-// the end of Sim.Run) only work if each of them has a bounded
-// lifecycle. The rule enforces two properties in internal/server,
-// internal/harness, and internal/sim:
+// goroutine-hygiene: the daemon, the router, the harness, and the
+// result store own every goroutine the project spawns, and the shutdown
+// paths (drain/deadline/SIGTERM in the daemon, pool close in the
+// harness) only work if each of them has a bounded lifecycle. The rule
+// enforces two properties in the packages of goroutinePackages:
 //
 //  1. Every `go` statement's target must be resolvable in-package (a
 //     function literal or a same-package function/method) and its body
@@ -36,10 +35,6 @@ var goroutinePackages = map[string]bool{
 	// status watcher per in-flight job; drain only terminates if every
 	// one of them has a bounded lifecycle.
 	"lattecc/internal/cluster": true,
-	// The epoch engine's worker pool (PR 7). Concurrency below the
-	// determinism boundary is otherwise banned outright by the
-	// determinism rule; here it is legal but must still be bounded.
-	"lattecc/internal/sim": true,
 	// The persistent result store (PR 9) is hit concurrently by every
 	// pool worker on a suite miss; its locking is also policed by the
 	// lock-contract rule (//lint:mutex nocalls + //lint:guards).

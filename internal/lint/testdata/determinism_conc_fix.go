@@ -1,10 +1,7 @@
 // Package fixture exercises the concurrency half of the determinism
-// rule (PR 7): below the determinism boundary, only the epoch engine
-// (internal/sim) may import sync or spawn goroutines; every other
-// cycle-level package must stay single-threaded so a run's result is a
-// pure function of (config, seed, trace). The clock read at the bottom
-// must fire under BOTH package paths — the sim exemption covers
-// coordination, never wall-clock time.
+// rule: below the determinism boundary no package may import sync or
+// spawn goroutines, so a run's result is a pure function of (config,
+// seed, trace). The clock read at the bottom is banned there too.
 package fixture
 
 import (
@@ -33,6 +30,5 @@ func (b *bank) tick() {
 	wg.Wait()
 }
 
-// stamp reads the wall clock: banned in every cycle-level package,
-// including the epoch engine.
+// stamp reads the wall clock: banned in every cycle-level package.
 func stamp() int64 { return time.Now().UnixNano() }

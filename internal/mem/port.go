@@ -1,16 +1,14 @@
 package mem
 
-// This file is the memory-side half of the simulator's two-phase epoch
-// engine (DESIGN.md §12). During the parallel phase of a cycle, SMs may
-// not call System.Read/System.Write directly — the shared bank and
-// channel queues would be mutated in goroutine-scheduling order and the
-// run would stop being deterministic. Instead each SM owns a Port and
-// appends its transactions there; at the epoch barrier a single
-// goroutine drains every port through the Arbiter in (SM id, issue
-// order), which is exactly the order the old serial loop produced.
+// This file is the memory-side half of the simulator's two-phase cycle
+// (DESIGN.md §12). During the compute phase of a cycle, SMs do not call
+// System.Read/System.Write directly: each SM owns a Port and appends its
+// transactions there, and after every SM has ticked the Arbiter drains
+// the ports in (SM id, issue order). That order is the memory ordering
+// the simulator's StateHash pins.
 
 // PortRequest is one L1-miss fetch or store transaction queued on an
-// SM's memory port during the parallel phase of a cycle epoch.
+// SM's memory port during the compute phase of a cycle.
 type PortRequest struct {
 	// Addr is the byte address of the transaction.
 	Addr uint64
@@ -22,9 +20,9 @@ type PortRequest struct {
 	FillAt uint64
 }
 
-// Port is one SM's outbound memory queue for the current cycle epoch.
-// It is written by exactly one SM during the parallel phase and read by
-// the arbiter at the barrier, so it needs no locking; the buffer is
+// Port is one SM's outbound memory queue for the current cycle. It is
+// written by exactly one SM during the compute phase and read by the
+// arbiter after it; the buffer is
 // preallocated and reused so steady-state cycles allocate nothing.
 type Port struct {
 	reqs []PortRequest
@@ -54,19 +52,17 @@ func (p *Port) PushStore(addr uint64) {
 func (p *Port) Len() int { return len(p.reqs) }
 
 // FillAt returns the arbiter-assigned fill time of the load queued at
-// index i. Only valid after the epoch's Drain.
+// index i. Only valid after the cycle's Drain.
 func (p *Port) FillAt(i int) uint64 { return p.reqs[i].FillAt }
 
-// Reset empties the port, keeping its buffer for the next epoch.
+// Reset empties the port, keeping its buffer for the next cycle.
 func (p *Port) Reset() { p.reqs = p.reqs[:0] }
 
 // Arbiter drains a fixed set of ports into a System in deterministic
 // order: ports in slice position order (SM id), requests within a port
-// in issue order. Because that is byte-for-byte the order in which the
-// old serial simulator called Read/Write, every queueing decision inside
-// System — bank nextFree times, LRU state, channel contention — and
-// therefore every counter and fill time is bit-identical regardless of
-// how many goroutines produced the ports.
+// in issue order. Every queueing decision inside System — bank nextFree
+// times, LRU state, channel contention — and therefore every counter and
+// fill time follows from that order.
 type Arbiter struct {
 	sys   *System
 	ports []*Port
@@ -78,8 +74,8 @@ func NewArbiter(sys *System, ports []*Port) *Arbiter {
 }
 
 // Drain services every queued request against the System at cycle now,
-// writing fill times back into the load requests. It must be called from
-// exactly one goroutine, after the parallel phase has finished.
+// writing fill times back into the load requests. It is called once per
+// cycle, after every SM's compute phase.
 func (a *Arbiter) Drain(now uint64) {
 	for _, p := range a.ports {
 		for i := range p.reqs {

@@ -91,8 +91,6 @@ func TestReplayDivergence(t *testing.T) {
 		d = DiffCache(seed, 8192)
 	case strings.HasPrefix(comp, "sched"):
 		d = DiffSchedulers(seed, 8192)
-	case comp == "smjobs":
-		d = DiffSMJobs(seed, 16)
 	default:
 		t.Fatalf("unknown component %q", comp)
 	}

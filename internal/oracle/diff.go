@@ -11,7 +11,6 @@ import (
 	"lattecc/internal/modes"
 	"lattecc/internal/policy"
 	"lattecc/internal/sim"
-	"lattecc/internal/trace"
 	"lattecc/internal/tracefile"
 	"lattecc/internal/workload"
 )
@@ -407,100 +406,14 @@ func DiffSchedulers(seed int64, steps int) *Divergence {
 	return nil
 }
 
-// DiffSMJobs runs randomized tiny end-to-end simulations serial
-// (SMJobs=1) and parallel (SMJobs ∈ {2, NumSMs}) and requires
-// bit-identical StateHashes — the epoch engine's determinism contract
-// (DESIGN.md §12) checked from the outside, over random machine shapes,
-// controllers, and workloads rather than the fixed golden suite. On a
-// single-core runner effectiveSMJobs clamps the pool away and the check
-// degenerates to serial-vs-serial; CI provides the real parallelism (and
-// the race detector).
-func DiffSMJobs(seed int64, runs int) *Divergence {
-	styles := []workload.ValueStyle{
-		workload.StyleZeroHeavy, workload.StyleSmallInt, workload.StyleStrideInt,
-		workload.StylePointer, workload.StyleDictFloat, workload.StyleExpFloat,
-		workload.StyleRandom,
-	}
-	for run := 0; run < runs; run++ {
-		rng := rand.New(rand.NewSource(seed + int64(run)*7919))
-
-		cfg := sim.DefaultConfig()
-		cfg.NumSMs = 2 + rng.Intn(3)
-		cfg.MaxWarpsPerSM = 16 + 8*rng.Intn(3)
-		cfg.L1Ports = 1 + rng.Intn(2)
-		cfg.MSHRs = []int{2, 8, 32}[rng.Intn(3)]
-		cfg.WriteThroughL1 = rng.Intn(2) == 0
-		if rng.Intn(2) == 0 {
-			cfg.Scheduler = sim.SchedRR
-		}
-		if rng.Intn(2) == 0 {
-			cfg.SampleEvery = 128 // the sampled series must be invariant too
-		}
-		cfg.MaxInstructions = uint64(20_000 + rng.Intn(30_000))
-		cfg.MaxCycles = 5_000_000
-
-		regions := []workload.Region{
-			{Start: 0, Lines: uint64(1024 + rng.Intn(3072)), Style: styles[rng.Intn(len(styles))], Seed: rng.Uint64()},
-			{Start: 1 << 16, Lines: uint64(2048 + rng.Intn(2048)), Style: styles[rng.Intn(len(styles))], Seed: rng.Uint64()},
-		}
-		phases := []workload.Phase{
-			{Kind: workload.PhaseReuse, Region: 0, Iters: 40 + rng.Intn(40), ALU: rng.Intn(3),
-				ALULat: 1 + uint32(rng.Intn(4)), WSLines: 16 + rng.Intn(120),
-				Shared: rng.Intn(2) == 0, Divergence: 1 + rng.Intn(4)},
-			{Kind: workload.PhaseStream, Region: 1, Iters: 30 + rng.Intn(30), ALU: rng.Intn(2)},
-			{Kind: workload.PhaseStore, Region: 1, Iters: 10 + rng.Intn(20)},
-		}
-		if rng.Intn(2) == 0 {
-			phases = append(phases, workload.Phase{Kind: workload.PhaseBarrier, Iters: 1 + rng.Intn(3)})
-		}
-		spec := &workload.Spec{
-			WName:   "smjobs-rand",
-			Regions: regions,
-			KernelSeq: []workload.KernelSpec{{
-				Name:          "k0",
-				Blocks:        4 + rng.Intn(8),
-				WarpsPerBlock: 2 + rng.Intn(4),
-				Phases:        phases,
-			}},
-		}
-
-		factories := []struct {
-			name string
-			f    sim.ControllerFactory
-		}{
-			{"static-none", func(int) modes.Controller { return policy.NewStatic(modes.None, "oracle-none", 1024, 8) }},
-			{"static-lowlat", func(int) modes.Controller { return policy.NewStatic(modes.LowLat, "oracle-lowlat", 1024, 8) }},
-			{"static-highcap", func(int) modes.Controller { return policy.NewStatic(modes.HighCap, "oracle-highcap", 1024, 8) }},
-			{"latte", func(n int) modes.Controller { return core.New(core.DefaultConfig(n)) }},
-		}
-		pick := factories[rng.Intn(len(factories))]
-
-		runHash := func(jobs int) uint64 {
-			c := cfg
-			c.SMJobs = jobs
-			return sim.New(c, spec, pick.f).Run().StateHash()
-		}
-		base := runHash(1)
-		for _, jobs := range []int{2, cfg.NumSMs} {
-			if got := runHash(jobs); got != base {
-				return diverge("smjobs", seed, run,
-					"StateHash(SMJobs=%d)=%#x != StateHash(SMJobs=1)=%#x (controller %s, %d SMs, sched %v)",
-					jobs, got, base, pick.name, cfg.NumSMs, cfg.Scheduler)
-			}
-		}
-	}
-	return nil
-}
-
 // DiffScenarios runs randomized scenario-diversity workloads — multi-
 // kernel sequences, concurrent-kernel mixes (KernelSpec.Mix), and
 // adversarial compressibility flips (Phase.FlipEvery) — through the
 // end-to-end simulator and checks the determinism contracts the scenario
-// engine extends: (a) serial vs SM-parallel StateHash parity over every
-// scenario class, (b) bit-identical trace capture across repeated runs,
-// and (c) capture→replay round trips where the packaged ReplayWorkload
-// is itself deterministic and SMJobs-invariant. Divergences carry the
-// seed and run index for replay.
+// engine extends: (a) bit-identical trace capture across repeated runs,
+// and (b) capture→replay round trips where the packaged ReplayWorkload
+// is itself deterministic. Divergences carry the seed and run index for
+// replay.
 func DiffScenarios(seed int64, runs int) *Divergence {
 	styles := []workload.ValueStyle{
 		workload.StyleZeroHeavy, workload.StyleSmallInt, workload.StyleStrideInt,
@@ -570,24 +483,8 @@ func DiffScenarios(seed int64, runs int) *Divergence {
 		}
 		pick := factories[rng.Intn(len(factories))]
 
-		runHash := func(jobs int, wl trace.Workload) uint64 {
-			c := cfg
-			c.SMJobs = jobs
-			return sim.New(c, wl, pick.f).Run().StateHash()
-		}
-
-		// (a) Serial vs SM-parallel parity over the scenario spec.
-		base := runHash(1, spec)
-		for _, jobs := range []int{2, cfg.NumSMs} {
-			if got := runHash(jobs, spec); got != base {
-				return diverge("scenario", seed, run,
-					"StateHash(SMJobs=%d)=%#x != StateHash(SMJobs=1)=%#x (controller %s, %d kernels)",
-					jobs, got, base, pick.name, len(kernels))
-			}
-		}
-
-		// (b) Capture determinism: two serial recordings of the same run
-		// must be byte-identical.
+		// (a) Capture determinism: two recordings of the same run must be
+		// byte-identical.
 		captureOnce := func() (*bytes.Buffer, uint64, *Divergence) {
 			var buf bytes.Buffer
 			tw, err := tracefile.NewWriter(&buf, "SCN")
@@ -616,9 +513,8 @@ func DiffScenarios(seed int64, runs int) *Divergence {
 				buf1.Len(), buf2.Len(), pick.name)
 		}
 
-		// (c) Capture→replay round trip: package the recording as a corpus
-		// entry; the replay workload must load, be deterministic, and stay
-		// SMJobs-invariant.
+		// (b) Capture→replay round trip: package the recording as a corpus
+		// entry; the replay workload must load and be deterministic.
 		meta, err := tracefile.EncodeCorpusMeta(tracefile.CorpusEntry{
 			Name: "SCN", Source: spec.WName, Category: spec.Category(),
 			Blocks: 2 + rng.Intn(3), WarpsPerBlock: 2,
@@ -631,14 +527,10 @@ func DiffScenarios(seed int64, runs int) *Divergence {
 		if err != nil {
 			return diverge("scenario", seed, run, "corpus load: %v", err)
 		}
-		rbase := runHash(1, rw)
-		if again := runHash(1, rw); again != rbase {
+		rbase := sim.New(cfg, rw, pick.f).Run().StateHash()
+		if again := sim.New(cfg, rw, pick.f).Run().StateHash(); again != rbase {
 			return diverge("scenario", seed, run,
 				"replay workload not deterministic: %#x vs %#x (controller %s)", again, rbase, pick.name)
-		}
-		if got := runHash(2, rw); got != rbase {
-			return diverge("scenario", seed, run,
-				"replay StateHash(SMJobs=2)=%#x != serial %#x (controller %s)", got, rbase, pick.name)
 		}
 	}
 	return nil
@@ -660,9 +552,6 @@ func DiffAll(seed int64, scale int) *Divergence {
 		}
 	}
 	if d := DiffSchedulers(seed+1000, 16*scale); d != nil {
-		return d
-	}
-	if d := DiffSMJobs(seed+2000, scale/8+1); d != nil {
 		return d
 	}
 	if d := DiffScenarios(seed+3000, scale/8+1); d != nil {

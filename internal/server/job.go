@@ -301,11 +301,6 @@ type ConfigOverrides struct {
 	WriteThroughL1  *bool   `json:"write_through_l1,omitempty"`
 	MaxInstructions *uint64 `json:"max_instructions,omitempty"`
 	MaxCycles       *uint64 `json:"max_cycles,omitempty"`
-	// SMJobs tunes intra-simulation parallelism only; results are
-	// bit-identical for any value, so it does NOT enter the suite
-	// fingerprint (a cached result computed at one width answers
-	// requests at any other).
-	SMJobs *int `json:"sm_jobs,omitempty"`
 }
 
 // Apply copies cfg, overlays the present overrides, and validates them.
@@ -352,12 +347,6 @@ func (o *ConfigOverrides) Apply(cfg sim.Config) (sim.Config, error) {
 	}
 	if o.WriteThroughL1 != nil {
 		cfg.WriteThroughL1 = *o.WriteThroughL1
-	}
-	if o.SMJobs != nil {
-		if *o.SMJobs < 0 {
-			return sim.Config{}, fmt.Errorf("config override sm_jobs must be >= 0, got %d", *o.SMJobs)
-		}
-		cfg.SMJobs = *o.SMJobs
 	}
 	if cfg.Cache.SizeBytes < cfg.Cache.LineSize*cfg.Cache.Ways {
 		return sim.Config{}, fmt.Errorf("config override l1_size_bytes %d is below one set (%d)",

@@ -497,18 +497,23 @@ func TestValidation(t *testing.T) {
 		t.Errorf("rejectedInvalid = %d, want %d", got, len(cases))
 	}
 
-	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d", resp.StatusCode)
+	// Malformed JSON, and an override field the daemon does not know.
+	for _, body := range []string{
+		"{nope",
+		`{"workload":"BO","policy":"Uncompressed","config":{"sm_jobs":2}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d", body, resp.StatusCode)
+		}
 	}
 
 	// Unknown job.
-	resp, err = http.Get(ts.URL + "/v1/runs/job-999999")
+	resp, err := http.Get(ts.URL + "/v1/runs/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,13 +553,6 @@ func TestFingerprint(t *testing.T) {
 	if mut.Fingerprint() == base.Fingerprint() {
 		t.Error("changed L1 size must change the fingerprint")
 	}
-	// SMJobs only changes how fast a result is computed, never the
-	// result: suites must be shared across sm_jobs overrides.
-	mut = base
-	mut.SMJobs = 8
-	if mut.Fingerprint() != base.Fingerprint() {
-		t.Error("SMJobs must not key a new suite; results are worker-count-invariant")
-	}
 }
 
 // TestOverrideApply covers the validation corners of ConfigOverrides.
@@ -578,13 +576,6 @@ func TestOverrideApply(t *testing.T) {
 	tooSmall := base.Cache.LineSize // one line < one set
 	if _, err := (&ConfigOverrides{L1SizeBytes: &tooSmall}).Apply(base); err == nil {
 		t.Error("sub-set l1_size_bytes must be rejected")
-	}
-	if _, err := (&ConfigOverrides{SMJobs: &bad}).Apply(base); err == nil {
-		t.Error("negative sm_jobs must be rejected")
-	}
-	serialJobs := 0 // 0 is legal for sm_jobs (= serial), unlike the >= 1 fields
-	if got, err := (&ConfigOverrides{SMJobs: &serialJobs}).Apply(base); err != nil || got.SMJobs != 0 {
-		t.Errorf("sm_jobs 0 must be accepted as serial, got %d err %v", got.SMJobs, err)
 	}
 
 	n := 4

@@ -64,18 +64,6 @@ type Config struct {
 	// Trace, when non-nil, receives every L1 access (package tracefile's
 	// Writer implements it) for offline trace-driven replay.
 	Trace AccessRecorder
-
-	// SMJobs is the worker count for the intra-simulation epoch engine:
-	// phase A of every cycle (per-SM compute) runs across this many
-	// persistent goroutines, with a deterministic memory-port barrier
-	// between cycles (DESIGN.md §12). Results are bit-identical for any
-	// value — StateHash(SMJobs=k) == StateHash(SMJobs=1) — so this is
-	// purely a wall-clock knob. 0 or 1 runs serial with zero pool
-	// overhead; values above NumSMs or GOMAXPROCS are clamped. With
-	// SMJobs > 1 the workload's DataSource must tolerate concurrent
-	// Line/LineInto calls (every source in this module is a pure
-	// function of the address, so that holds).
-	SMJobs int
 }
 
 // AccessRecorder receives the simulator's L1 access stream.
@@ -126,9 +114,6 @@ func (c Config) Validate() {
 	if c.ToleranceWindow == 0 {
 		panic("sim: zero tolerance window")
 	}
-	if c.SMJobs < 0 {
-		panic(fmt.Sprintf("sim: negative SMJobs %d", c.SMJobs))
-	}
 }
 
 // Fingerprint folds the scalar machine parameters of the config into one
@@ -137,9 +122,7 @@ func (c Config) Validate() {
 // routing in the cluster, and persistent result-store entries — the
 // three layers must agree on the key, which is why the fold lives here.
 // Codec wiring and trace hooks are runtime wiring, deliberately not part
-// of the key. SMJobs is likewise excluded: the epoch engine makes
-// results bit-identical across worker counts, so cached results are
-// shared across sm_jobs overrides.
+// of the key.
 func (c Config) Fingerprint() uint64 {
 	h := invariant.NewHash()
 	h.Int(int64(c.NumSMs))

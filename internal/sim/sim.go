@@ -174,13 +174,12 @@ func New(cfg Config, work trace.Workload, factory ControllerFactory) *Sim {
 
 // Run executes every kernel of the workload and returns the result.
 //
-// Each cycle is a two-phase epoch (DESIGN.md §12). Phase A ticks every
-// SM against only its own state — in parallel across effectiveSMJobs
-// workers when Config.SMJobs > 1 — with memory traffic queued on per-SM
-// ports. Phase B, at the barrier, drains the ports through the arbiter
-// in (SM id, issue order) and commits each SM in id order; the budget,
-// sampling, dispatch, and liveness checks all run here, where every SM's
-// state is settled. The result is bit-identical for any worker count.
+// Each cycle has two phases (DESIGN.md §12). Phase A ticks every SM in
+// id order against only its own state, with memory traffic queued on
+// per-SM ports. Phase B drains the ports through the arbiter in (SM id,
+// issue order) and commits each SM in id order; the budget, sampling,
+// dispatch, and liveness checks all run here, where every SM's state is
+// settled.
 func (s *Sim) Run() Result {
 	res := Result{
 		Workload: s.work.Name(),
@@ -189,12 +188,6 @@ func (s *Sim) Run() Result {
 	if s.cfg.SampleEvery > 0 {
 		res.ToleranceSeries = stats.NewSeries("tolerance", 4096)
 		res.CapacitySeries = stats.NewSeries("effective-capacity", 4096)
-	}
-
-	var pool *smPool
-	if jobs := s.cfg.effectiveSMJobs(); jobs > 1 {
-		pool = newSMPool(s.sms, jobs)
-		defer pool.close()
 	}
 
 	now := uint64(0)
@@ -235,15 +228,11 @@ func (s *Sim) Run() Result {
 		dispatch()
 
 		for {
-			// Phase A: parallel compute against SM-private state.
-			if pool != nil {
-				pool.epoch(now)
-			} else {
-				for _, m := range s.sms {
-					m.tickCompute(now)
-				}
+			// Phase A: compute against SM-private state.
+			for _, m := range s.sms {
+				m.tickCompute(now)
 			}
-			// Phase B: serial merge at the barrier.
+			// Phase B: merge the ports and commit.
 			s.arb.Drain(now)
 			busy := false
 			var cycleInsts uint64

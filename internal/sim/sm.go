@@ -102,7 +102,7 @@ type memReq struct {
 	readyMax uint64
 	// pending counts port loads issued on behalf of this request whose
 	// fill time the arbiter has not resolved yet. A fully drained request
-	// with pending > 0 parks on the deferred list until the epoch commit.
+	// with pending > 0 parks on the deferred list until commit.
 	pending int
 	isStore bool
 	buf     [memReqAddrCap]uint64
@@ -160,9 +160,9 @@ func (h *fillHeap) pop() fillEvent {
 	return top
 }
 
-// mshrEntry is one outstanding L1 miss. While the epoch's port is still
+// mshrEntry is one outstanding L1 miss. While the cycle's port is still
 // undrained the fill time is unknown and the entry is pending, pointing
-// at the pendingLoad that will resolve it at the barrier.
+// at the pendingLoad that will resolve it at commit.
 type mshrEntry struct {
 	lineAddr uint64
 	fillAt   uint64 // valid once pending is false
@@ -178,14 +178,6 @@ type pendingLoad struct {
 	mshrIdx  int
 	lineAddr uint64
 	waiters  []*memReq
-}
-
-// traceRec is one buffered L1 access record; the shared Config.Trace
-// recorder is only touched at the barrier, in SM order, so the emitted
-// stream is identical to the serial simulator's.
-type traceRec struct {
-	addr  uint64
-	write bool
 }
 
 // blockSlot tracks one resident thread block.
@@ -215,8 +207,8 @@ type schedState struct {
 	switches uint64
 }
 
-// sm is one streaming multiprocessor. During the parallel phase of a
-// cycle epoch an sm touches only its own state (plus read-only config
+// sm is one streaming multiprocessor. During the compute phase of a
+// cycle an sm touches only its own state (plus read-only config
 // and the read-only data source): memory traffic goes to the per-SM
 // port, never to the shared mem.System.
 type sm struct {
@@ -255,15 +247,15 @@ type sm struct {
 	mshr  []mshrEntry
 	fills fillHeap
 
-	// pend / deferred are the epoch-barrier handoff: loads awaiting the
-	// arbiter's fill times and fully-drained requests whose warps unblock
-	// at commit. waiterPool recycles the waiter slices.
+	// pend / deferred are the compute-to-commit handoff: loads awaiting
+	// the arbiter's fill times and fully-drained requests whose warps
+	// unblock at commit. waiterPool recycles the waiter slices.
 	pend       []pendingLoad
 	deferred   []*memReq
 	waiterPool [][]*memReq
 
 	// cycleInsts is the instruction count of the last tickCompute,
-	// harvested by Run at the barrier.
+	// harvested by Run after commit.
 	cycleInsts uint64
 
 	hitSample uint64 // hit counter for VFT sampling
@@ -283,9 +275,6 @@ type sm struct {
 	// slices, so reuse is safe).
 	lineFill trace.LineFiller
 	lineBuf  []byte
-
-	// traceBuf defers Config.Trace records to the barrier.
-	traceBuf []traceRec
 
 	// per-cycle scheduler scratch, reused to keep schedule allocation-free
 	candScratch []WarpCandidate
@@ -438,7 +427,7 @@ func (s *sm) busy() bool {
 // or the tolerance-window boundary (probeTolerance fires there and must
 // observe the same `now` as a cycle-by-cycle run). A queued LSU request
 // makes every cycle busy, so the method returns 0 in that case. Only
-// valid after commit, when pend/deferred/traceBuf are empty and every
+// valid after commit, when pend/deferred are empty and every
 // blockedOnMem warp still has its request in the LSU queue — which is
 // what lets Sim.Run prove cycles up to the returned value are no-ops and
 // fast-forward across them without changing a single counter.
@@ -461,20 +450,18 @@ func (s *sm) nextEvent() uint64 {
 	return next
 }
 
-// tickCompute is the parallel half of one cycle: fills, LSU drain into
-// the port, and scheduling, all against SM-private state. The issued
-// instruction count lands in cycleInsts for the barrier to harvest.
+// tickCompute is the first half of one cycle: fills, LSU drain into the
+// port, and scheduling, all against SM-private state. The issued
+// instruction count lands in cycleInsts for Run to harvest.
 func (s *sm) tickCompute(now uint64) {
 	s.applyFills(now)
 	s.drainLSU(now)
 	s.cycleInsts = s.schedule(now)
 }
 
-// commit is the serial half of one cycle, run at the epoch barrier after
-// the arbiter has drained the ports: resolve this cycle's fill times,
-// unblock drained warps, fold the tolerance probe, and flush buffered
-// trace records. Commit runs in SM id order, which keeps the controller
-// call sequence and the trace stream identical to the serial simulator.
+// commit is the second half of one cycle, run after the arbiter has
+// drained the ports: resolve this cycle's fill times, unblock drained
+// warps, and fold the tolerance probe. Commit runs in SM id order.
 func (s *sm) commit(now uint64) {
 	for i := range s.pend {
 		p := &s.pend[i]
@@ -511,13 +498,6 @@ func (s *sm) commit(now uint64) {
 	s.deferred = s.deferred[:0]
 
 	s.probeTolerance(now)
-
-	if len(s.traceBuf) > 0 {
-		for _, tr := range s.traceBuf {
-			s.cfg.Trace.Record(s.id, now, tr.addr, tr.write)
-		}
-		s.traceBuf = s.traceBuf[:0]
-	}
 }
 
 // applyFills installs miss responses whose data has arrived.
@@ -558,7 +538,7 @@ func (s *sm) drainLSU(now uint64) {
 		if req.isStore {
 			addr := req.addrs[req.next]
 			if s.cfg.Trace != nil {
-				s.traceBuf = append(s.traceBuf, traceRec{addr: addr, write: true})
+				s.cfg.Trace.Record(s.id, now, addr, true)
 			}
 			if s.cfg.WriteThroughL1 {
 				// Write-through: a write hit updates (and expands) the
@@ -617,7 +597,7 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 	lineAddr := addr / lineSize
 
 	if s.cfg.Trace != nil {
-		s.traceBuf = append(s.traceBuf, traceRec{addr: addr})
+		s.cfg.Trace.Record(s.id, now, addr, false)
 	}
 	res := s.l1.Access(addr, now)
 	if res.Hit {
@@ -838,7 +818,7 @@ func (s *sm) retire(w *warp) {
 }
 
 // forceFinish terminates all warps (instruction budget exhausted). Run
-// calls it at the barrier, after commit, so pend and deferred are empty.
+// calls it after commit, so pend and deferred are empty.
 func (s *sm) forceFinish() {
 	// retire may compact the warp lists when a block drains, so restart
 	// the scan after each retirement instead of ranging a stale header.

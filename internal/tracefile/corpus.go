@@ -26,11 +26,11 @@ import (
 
 // corpusMeta is the sidecar JSON schema.
 type corpusMeta struct {
-	Name          string         `json:"name"`
-	Source        string         `json:"source,omitempty"` // workload the trace was captured from
-	Category      string         `json:"category"`         // "C-Sens" or "C-InSens"
-	Blocks        int            `json:"blocks"`
-	WarpsPerBlock int            `json:"warpsPerBlock"`
+	Name          string `json:"name"`
+	Source        string `json:"source,omitempty"` // workload the trace was captured from
+	Category      string `json:"category"`         // "C-Sens" or "C-InSens"
+	Blocks        int    `json:"blocks"`
+	WarpsPerBlock int    `json:"warpsPerBlock"`
 	// ALUGapCap paces replay: the cycle gap between consecutive records of
 	// a warp's chunk becomes one ALU instruction of that latency, capped
 	// here (0 disables pacing entirely).
@@ -101,8 +101,8 @@ func EncodeCorpusMeta(e CorpusEntry, traceBytes []byte, records uint64) ([]byte,
 // record stream is split into per-warp instruction slices at load time,
 // so replay runs through the full simulator (SM pipelines, harness
 // cache, result store, daemon) like any synthetic workload. Programs are
-// read-only after construction, keeping Data/Kernels safe for the
-// simulator's SM-parallel epoch engine.
+// read-only after construction, so one loaded workload can back many
+// concurrent simulations.
 type ReplayWorkload struct {
 	name    string
 	source  string

@@ -241,7 +241,7 @@ func TestLoadCorpusDirectory(t *testing.T) {
 // TestCommittedCorpusReplayDeterminism drives the committed corpus
 // entries end to end: each must load, run under the full adaptive
 // controller, and produce a StateHash that is stable across repeated
-// runs and across the SM-parallel epoch engine.
+// runs.
 func TestCommittedCorpusReplayDeterminism(t *testing.T) {
 	ws, err := LoadCorpus(filepath.Join("..", "..", "testdata", "traces"))
 	if err != nil {
@@ -255,17 +255,9 @@ func TestCommittedCorpusReplayDeterminism(t *testing.T) {
 	cfg.MaxInstructions = 30_000
 	latte := func(n int) modes.Controller { return core.New(core.DefaultConfig(n)) }
 	for _, w := range ws {
-		run := func(smJobs int) uint64 {
-			c := cfg
-			c.SMJobs = smJobs
-			return sim.New(c, w, latte).Run().StateHash()
-		}
-		serial := run(1)
-		if again := run(1); again != serial {
-			t.Errorf("%s: repeated replay differs: %#x vs %#x", w.Name(), serial, again)
-		}
-		if par := run(2); par != serial {
-			t.Errorf("%s: StateHash(SMJobs=2)=%#x != serial %#x", w.Name(), par, serial)
+		first := sim.New(cfg, w, latte).Run().StateHash()
+		if again := sim.New(cfg, w, latte).Run().StateHash(); again != first {
+			t.Errorf("%s: repeated replay differs: %#x vs %#x", w.Name(), first, again)
 		}
 	}
 }
