@@ -46,7 +46,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8500", "listen address")
-		policy   = flag.String("policy", "fingerprint", "routing policy: fingerprint | least-loaded | round-robin")
+		policy   = flag.String("policy", "fingerprint", "routing policy: fingerprint | least-loaded")
 		inflight = flag.Int("max-inflight", 256, "cluster-wide cap on non-terminal jobs (overflow answers 429)")
 		retries  = flag.Int("retries", 3, "times one job may be re-placed after losing its worker")
 		health   = flag.Duration("health-interval", time.Second, "worker health-probe cadence")

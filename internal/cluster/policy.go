@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // ErrNoWorkers is returned by every policy when no live, non-draining
@@ -23,7 +22,7 @@ type Policy interface {
 // Policies lists the registered routing policy names, in the order the
 // -policy flag documents them.
 func Policies() []string {
-	return []string{"fingerprint", "least-loaded", "round-robin"}
+	return []string{"fingerprint", "least-loaded"}
 }
 
 // PolicyByName builds the named policy.
@@ -33,8 +32,6 @@ func PolicyByName(name string) (Policy, error) {
 		return affinityPolicy{}, nil
 	case "least-loaded":
 		return leastLoadedPolicy{}, nil
-	case "round-robin":
-		return &roundRobinPolicy{}, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown routing policy %q (have %v)", name, Policies())
 }
@@ -78,27 +75,4 @@ func (leastLoadedPolicy) Pick(fp uint64, reg *Registry, exclude string) (string,
 		return "", ErrNoWorkers
 	}
 	return best, nil
-}
-
-// roundRobinPolicy cycles through the routable workers in URL order.
-// The counter is global, not per-fingerprint: the point of round-robin
-// is spreading a homogeneous stream, not affinity.
-type roundRobinPolicy struct {
-	next atomic.Uint64
-}
-
-func (*roundRobinPolicy) Name() string { return "round-robin" }
-
-func (p *roundRobinPolicy) Pick(fp uint64, reg *Registry, exclude string) (string, error) {
-	candidates := make([]string, 0, 8)
-	for _, w := range reg.Snapshot() {
-		if w.Draining || w.URL == exclude {
-			continue
-		}
-		candidates = append(candidates, w.URL)
-	}
-	if len(candidates) == 0 {
-		return "", ErrNoWorkers
-	}
-	return candidates[(p.next.Add(1)-1)%uint64(len(candidates))], nil
 }

@@ -45,8 +45,8 @@ func (f *fakeWorker) url() string { return f.ts.URL }
 
 // TestLeastLoadedNeverRoutesToDraining is the satellite-5 property: a
 // worker that reported draining=true at its last probe receives no new
-// placements from the least-loaded policy (nor from affinity or
-// round-robin), no matter how idle it looks.
+// placements from the least-loaded policy (nor from affinity), no
+// matter how idle it looks.
 func TestLeastLoadedNeverRoutesToDraining(t *testing.T) {
 	busy := newFakeWorker(t)
 	busy.setLoad(loadStatus{Queued: 50, Running: 2})
@@ -58,7 +58,7 @@ func TestLeastLoadedNeverRoutesToDraining(t *testing.T) {
 	reg.Register(idle.url())
 	reg.ProbeAll(context.Background())
 
-	policies := []Policy{leastLoadedPolicy{}, affinityPolicy{}, &roundRobinPolicy{}}
+	policies := []Policy{leastLoadedPolicy{}, affinityPolicy{}}
 	for _, pol := range policies {
 		for fp := uint64(0); fp < 200; fp++ {
 			got, err := pol.Pick(fp, reg, "")
@@ -203,8 +203,8 @@ func TestRegistryConcurrentRegisterRouteEvict(t *testing.T) {
 		stop.Store(true)
 	}()
 
-	pols := []Policy{affinityPolicy{}, leastLoadedPolicy{}, &roundRobinPolicy{}}
-	for g := 0; g < 3; g++ {
+	pols := []Policy{affinityPolicy{}, leastLoadedPolicy{}}
+	for g := range pols {
 		wg.Add(1)
 		go func(g int) { // route continuously while the fleet churns
 			defer wg.Done()
@@ -239,30 +239,6 @@ func TestRegistryConcurrentRegisterRouteEvict(t *testing.T) {
 	}
 }
 
-// TestRoundRobinCycles: consecutive picks rotate through every routable
-// worker before repeating.
-func TestRoundRobinCycles(t *testing.T) {
-	reg := NewRegistry(3, 0, http.DefaultClient)
-	urls := []string{"http://a", "http://b", "http://c"}
-	for _, u := range urls {
-		reg.Register(u)
-	}
-	pol := &roundRobinPolicy{}
-	seen := map[string]int{}
-	for i := 0; i < 6; i++ {
-		got, err := pol.Pick(0, reg, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[got]++
-	}
-	for _, u := range urls {
-		if seen[u] != 2 {
-			t.Fatalf("round-robin uneven over 2 full cycles: %v", seen)
-		}
-	}
-}
-
 // TestPolicyExclude: every policy honours the exclude argument — the
 // worker a retry is fleeing must not be picked even if it is the only
 // ring owner for the fingerprint.
@@ -270,7 +246,7 @@ func TestPolicyExclude(t *testing.T) {
 	reg := NewRegistry(3, 0, http.DefaultClient)
 	reg.Register("http://a")
 	reg.Register("http://b")
-	for _, pol := range []Policy{affinityPolicy{}, leastLoadedPolicy{}, &roundRobinPolicy{}} {
+	for _, pol := range []Policy{affinityPolicy{}, leastLoadedPolicy{}} {
 		for fp := uint64(0); fp < 50; fp++ {
 			got, err := pol.Pick(fp, reg, "http://a")
 			if err != nil || got != "http://b" {
@@ -280,7 +256,7 @@ func TestPolicyExclude(t *testing.T) {
 	}
 	// Excluding the only worker leaves nothing.
 	reg.Deregister("http://b")
-	for _, pol := range []Policy{affinityPolicy{}, leastLoadedPolicy{}, &roundRobinPolicy{}} {
+	for _, pol := range []Policy{affinityPolicy{}, leastLoadedPolicy{}} {
 		if _, err := pol.Pick(1, reg, "http://a"); err != ErrNoWorkers {
 			t.Fatalf("%s: pick with only the excluded worker returned %v", pol.Name(), err)
 		}

@@ -25,8 +25,8 @@ type Config struct {
 	// whose base differs from its workers' still routes correctly, just
 	// with affinity keys that differ from the workers' own fingerprints.
 	BaseConfig sim.Config
-	// Policy names the routing policy: fingerprint (default),
-	// least-loaded, or round-robin.
+	// Policy names the routing policy: fingerprint (default) or
+	// least-loaded.
 	Policy string
 	// MaxInFlight bounds cluster-wide admission: at most this many
 	// non-terminal jobs at once; overflow answers 429 with Retry-After
@@ -509,14 +509,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer rt.admit.RUnlock()
 	if rt.draining.Load() {
 		rt.metrics.rejectedDraining.Add(1)
-		writeJSONError(w, http.StatusServiceUnavailable, "router is draining")
+		server.WriteJSONError(w, http.StatusServiceUnavailable, "router is draining")
 		return
 	}
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		rt.metrics.rejectedInvalid.Add(1)
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		server.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	// Decode just enough to count runs and compute the affinity
@@ -527,7 +527,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		rt.metrics.rejectedInvalid.Add(1)
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		server.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	runs := len(req.Runs)
@@ -536,13 +536,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if runs == 0 {
 		rt.metrics.rejectedInvalid.Add(1)
-		writeJSONError(w, http.StatusBadRequest, "no runs submitted")
+		server.WriteJSONError(w, http.StatusBadRequest, "no runs submitted")
 		return
 	}
 	cfg, err := req.Config.Apply(rt.cfg.BaseConfig)
 	if err != nil {
 		rt.metrics.rejectedInvalid.Add(1)
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		server.WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	fp := cfg.Fingerprint()
@@ -556,7 +556,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if full {
 		rt.metrics.rejectedFull.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeJSONError(w, http.StatusTooManyRequests, "cluster at max in-flight jobs")
+		server.WriteJSONError(w, http.StatusTooManyRequests, "cluster at max in-flight jobs")
 		return
 	}
 
@@ -575,13 +575,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &rej):
 			rt.metrics.rejectedInvalid.Add(1)
-			writeJSONError(w, rej.code, rej.msg)
+			server.WriteJSONError(w, rej.code, rej.msg)
 		case errors.Is(err, ErrNoWorkers):
 			rt.metrics.rejectedNoWorkers.Add(1)
-			writeJSONError(w, http.StatusServiceUnavailable, "no routable workers")
+			server.WriteJSONError(w, http.StatusServiceUnavailable, "no routable workers")
 		default:
 			rt.metrics.rejectedNoWorkers.Add(1)
-			writeJSONError(w, http.StatusServiceUnavailable, err.Error())
+			server.WriteJSONError(w, http.StatusServiceUnavailable, err.Error())
 		}
 		return
 	}
@@ -595,7 +595,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.jobsRouted.Add(1)
 	worker, _, _ := j.owner()
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, JobView{
+	server.WriteJSON(w, JobView{
 		ID:          j.id,
 		Status:      "queued",
 		Runs:        runs,
@@ -607,10 +607,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := rt.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeJSONError(w, http.StatusNotFound, "no such job")
+		server.WriteJSONError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, j.view())
+	server.WriteJSON(w, j.view())
 }
 
 // handleEvents proxies the owning worker's SSE stream. If the worker
@@ -622,12 +622,12 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := rt.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeJSONError(w, http.StatusNotFound, "no such job")
+		server.WriteJSONError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSONError(w, http.StatusInternalServerError, "streaming unsupported")
+		server.WriteJSONError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -700,12 +700,12 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad register body: %v", err))
+		server.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad register body: %v", err))
 		return
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("worker url must be absolute http(s), got %q", req.URL))
+		server.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("worker url must be absolute http(s), got %q", req.URL))
 		return
 	}
 	workerURL := u.Scheme + "://" + u.Host
@@ -713,22 +713,22 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		rt.metrics.workersRegistered.Add(1)
 		rt.cfg.Logf("cluster: worker %s joined (%d live)", workerURL, len(rt.reg.Snapshot()))
 	}
-	writeJSON(w, RegisterResponse{Registered: true, Workers: len(rt.reg.Snapshot())})
+	server.WriteJSON(w, RegisterResponse{Registered: true, Workers: len(rt.reg.Snapshot())})
 }
 
 func (rt *Router) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	workerURL := r.URL.Query().Get("url")
 	if workerURL == "" {
-		writeJSONError(w, http.StatusBadRequest, "missing url query parameter")
+		server.WriteJSONError(w, http.StatusBadRequest, "missing url query parameter")
 		return
 	}
 	rt.reg.Deregister(workerURL)
 	rt.cfg.Logf("cluster: worker %s left (%d live)", workerURL, len(rt.reg.Snapshot()))
-	writeJSON(w, RegisterResponse{Registered: false, Workers: len(rt.reg.Snapshot())})
+	server.WriteJSON(w, RegisterResponse{Registered: false, Workers: len(rt.reg.Snapshot())})
 }
 
 func (rt *Router) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{
+	server.WriteJSON(w, map[string]any{
 		"policy":  rt.policy.Name(),
 		"workers": rt.reg.Snapshot(),
 	})
@@ -745,19 +745,4 @@ func (rt *Router) Inflight() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.inflight
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	if w.Header().Get("Content-Type") == "" {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -205,7 +205,7 @@ func TestClusterStateHashParity(t *testing.T) {
 func TestClusterRetryOnWorkerDeath(t *testing.T) {
 	_, w1 := startWorker(t)
 	_, w2 := startWorker(t)
-	rt, rts := startRouter(t, Config{Policy: "round-robin", DeadAfter: 1, RetryLimit: 3})
+	rt, rts := startRouter(t, Config{Policy: "least-loaded", DeadAfter: 1, RetryLimit: 3})
 	registerWorker(t, rts.URL, w1.URL)
 	registerWorker(t, rts.URL, w2.URL)
 
@@ -509,7 +509,7 @@ func TestRouterMetricsAggregation(t *testing.T) {
 	a.setMetrics("# HELP latteccd_jobs_accepted_total jobs\n# TYPE latteccd_jobs_accepted_total counter\nlatteccd_jobs_accepted_total 2\n")
 	b := newStubWorker(t, stubDone)
 	b.setMetrics("latteccd_jobs_accepted_total 3\n")
-	_, rts := startRouter(t, Config{Policy: "round-robin"})
+	_, rts := startRouter(t, Config{Policy: "least-loaded"})
 	registerWorker(t, rts.URL, a.ts.URL)
 	registerWorker(t, rts.URL, b.ts.URL)
 

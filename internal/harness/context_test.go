@@ -2,55 +2,51 @@ package harness
 
 import (
 	"context"
-	"errors"
+	"reflect"
+	"sync/atomic"
 	"testing"
+
+	"lattecc/internal/sim"
 )
 
-// reporterFunc adapts a function to the Reporter interface for tests.
-type reporterFunc func(RunEvent)
-
-func (f reporterFunc) RunDone(e RunEvent) { f(e) }
-
-// TestRunAllContextPreCancelled: a context that is already dead must
-// dispatch nothing, surface the cancellation, and hand the queued
-// requests back so a later drain still serves them.
-func TestRunAllContextPreCancelled(t *testing.T) {
+// TestRunBatchPreCancelled: a context that is already dead must run
+// nothing, call back for nothing, and leave the prefetch queue exactly
+// as it was.
+func TestRunBatchPreCancelled(t *testing.T) {
 	cfg := quickConfig()
 	cfg.MaxInstructions = raceScaled(50_000)
 
 	s := NewSuite(cfg)
-	s.Jobs = 2
+	queued := []RunRequest{{Workload: "NW", Policy: Uncompressed}}
+	s.Prefetch(queued...)
 	reqs := []RunRequest{
 		{Workload: "BO", Policy: Uncompressed},
 		{Workload: "SS", Policy: Uncompressed},
 		{Workload: "FW", Policy: Uncompressed},
 	}
-	s.Prefetch(reqs...)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.RunAllContext(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	var calls atomic.Int64
+	s.RunBatch(ctx, 2, reqs, func(int, sim.Result, bool, error) { calls.Add(1) })
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("cancelled batch called back %d times, want 0", got)
 	}
 	if got := s.Simulations(); got != 0 {
-		t.Fatalf("cancelled pool simulated %d runs, want 0", got)
+		t.Fatalf("cancelled batch simulated %d runs, want 0", got)
 	}
-
-	// The requests were requeued, not lost: a healthy drain completes.
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Simulations(); got != uint64(len(reqs)) {
-		t.Fatalf("post-cancel drain simulated %d runs, want %d", got, len(reqs))
+	s.mu.Lock()
+	q := append([]RunRequest(nil), s.queue...)
+	s.mu.Unlock()
+	if !reflect.DeepEqual(q, queued) {
+		t.Fatalf("prefetch queue %v after cancelled batch, want %v", q, queued)
 	}
 }
 
-// TestRunAllContextCancelMidDrain cancels from the Reporter after the
-// first completed run. With one worker the pool must stop at exactly
-// one simulation instead of draining the whole prefetch set, and the
-// other requests must survive for a later drain.
-func TestRunAllContextCancelMidDrain(t *testing.T) {
+// TestRunBatchCancelMidBatch cancels from the first callback. With one
+// worker the batch must stop at exactly one simulation instead of
+// running the whole request list.
+func TestRunBatchCancelMidBatch(t *testing.T) {
 	cfg := quickConfig()
 	cfg.MaxInstructions = raceScaled(50_000)
 
@@ -58,30 +54,49 @@ func TestRunAllContextCancelMidDrain(t *testing.T) {
 	defer cancel()
 
 	s := NewSuite(cfg)
-	s.Jobs = 1
-	s.Reporter = reporterFunc(func(RunEvent) { cancel() })
 	reqs := []RunRequest{
 		{Workload: "BO", Policy: Uncompressed},
 		{Workload: "SS", Policy: Uncompressed},
 		{Workload: "FW", Policy: Uncompressed},
 		{Workload: "NW", Policy: Uncompressed},
 	}
-	s.Prefetch(reqs...)
-
-	err := s.RunAllContext(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	calls := 0
+	s.RunBatch(ctx, 1, reqs, func(i int, _ sim.Result, _ bool, err error) {
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+		}
+		calls++
+		cancel()
+	})
+	if calls != 1 {
+		t.Fatalf("single worker past cancellation called back %d times, want 1", calls)
 	}
 	if got := s.Simulations(); got != 1 {
 		t.Fatalf("single worker past cancellation simulated %d runs, want 1", got)
 	}
+}
 
-	s.Reporter = nil
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
+// TestRunBatchCachedFlag: a batch naming one run twice runs it once and
+// calls back twice; the cached flag is set exactly on the call that
+// CacheHits counts.
+func TestRunBatchCachedFlag(t *testing.T) {
+	cfg := quickConfig()
+	cfg.MaxInstructions = raceScaled(50_000)
+
+	s := NewSuite(cfg)
+	bo := RunRequest{Workload: "BO", Policy: Uncompressed}
+	var cached []bool
+	s.RunBatch(context.Background(), 1, []RunRequest{bo, bo}, func(i int, res sim.Result, c bool, err error) {
+		if err != nil || res.Cycles == 0 {
+			t.Errorf("request %d: err %v, cycles %d", i, err, res.Cycles)
+		}
+		cached = append(cached, c)
+	})
+	if !reflect.DeepEqual(cached, []bool{false, true}) {
+		t.Fatalf("cached flags %v, want [false true]", cached)
 	}
-	if got := s.Simulations(); got != uint64(len(reqs)) {
-		t.Fatalf("post-cancel drain simulated %d runs, want %d", got, len(reqs))
+	if sims, hits := s.Simulations(), s.CacheHits(); sims != 1 || hits != 1 {
+		t.Fatalf("sims=%d hits=%d, want 1 and 1", sims, hits)
 	}
 }
 

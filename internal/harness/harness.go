@@ -250,13 +250,20 @@ func factoryFor(p Policy, schedule []modes.Mode) (sim.ControllerFactory, func() 
 // that result is ready (errors are cached alongside results — the
 // failure modes here are deterministic, so retrying cannot help).
 func (s *Suite) Run(workloadName string, p Policy, v Variant) (sim.Result, error) {
+	res, _, err := s.run(workloadName, p, v)
+	return res, err
+}
+
+// run is Run, also reporting whether the in-memory cache served the
+// call — exactly the calls CacheHits counts.
+func (s *Suite) run(workloadName string, p Policy, v Variant) (sim.Result, bool, error) {
 	k := key{workload: workloadName, policy: p, variant: v}
 	s.mu.Lock()
 	if e, ok := s.results[k]; ok {
 		s.mu.Unlock()
 		s.hits.Add(1)
 		<-e.done
-		return e.res, e.err
+		return e.res, true, e.err
 	}
 	e := &entry{done: make(chan struct{})}
 	s.results[k] = e
@@ -271,7 +278,7 @@ func (s *Suite) Run(workloadName string, p Policy, v Variant) (sim.Result, error
 			s.storeHits.Add(1)
 			e.res = res
 			close(e.done)
-			return e.res, e.err
+			return e.res, false, e.err
 		}
 	}
 
@@ -296,7 +303,7 @@ func (s *Suite) Run(workloadName string, p Policy, v Variant) (sim.Result, error
 		s.mu.Unlock()
 	}
 	close(e.done)
-	return e.res, e.err
+	return e.res, false, e.err
 }
 
 // PanicError wraps a panic recovered from a simulation so one poisoned

@@ -13,7 +13,7 @@ import (
 	"lattecc/internal/sim"
 )
 
-// RunRequest names one simulation for Prefetch/RunAll.
+// RunRequest names one simulation for Prefetch/RunAll and RunBatch.
 type RunRequest struct {
 	Workload string
 	Policy   Policy
@@ -38,15 +38,6 @@ func (s *Suite) Prefetch(reqs ...RunRequest) {
 	}
 }
 
-// requeue returns an undispatched request to the queue after a
-// cancelled RunAll. The request's queued-mark is still set from its
-// original Prefetch, so it must bypass the dedup check.
-func (s *Suite) requeue(r RunRequest) {
-	s.mu.Lock()
-	s.queue = append(s.queue, r)
-	s.mu.Unlock()
-}
-
 // RunAll drains every prefetched request through a bounded worker pool
 // of Jobs workers and returns the failures joined in submission order.
 // Results land in the suite's cache, so the serial rendering pass that
@@ -54,29 +45,11 @@ func (s *Suite) requeue(r RunRequest) {
 // serial execution regardless of completion order.
 func (s *Suite) RunAll() error { return RunAllSuites(s.Jobs, s) }
 
-// RunAllContext is RunAll under a context: a cancelled or expired ctx
-// stops the pool from dispatching further queued runs (see
-// RunAllSuitesContext for the exact semantics).
-func (s *Suite) RunAllContext(ctx context.Context) error {
-	return RunAllSuitesContext(ctx, s.Jobs, s)
-}
-
 // RunAllSuites drains the prefetched sets of several suites through one
 // shared pool of jobs workers (<= 0 means GOMAXPROCS), for tools that
 // sweep a parameter across per-configuration suites. Tasks execute in
 // any order; errors are joined deterministically in submission order.
 func RunAllSuites(jobs int, suites ...*Suite) error {
-	return RunAllSuitesContext(context.Background(), jobs, suites...)
-}
-
-// RunAllSuitesContext is RunAllSuites under a context. Cancellation is
-// dispatch-level: workers stop claiming queued runs once ctx is done,
-// but a simulation already in flight runs to completion (the cycle loop
-// is not interruptible — determinism would otherwise depend on when the
-// cancel landed). Undispatched requests are returned to their suites'
-// queues so a later RunAll, or an inline Run, can still serve them; the
-// returned error joins any per-run failures with ctx's error.
-func RunAllSuitesContext(ctx context.Context, jobs int, suites ...*Suite) error {
 	type task struct {
 		s   *Suite
 		req RunRequest
@@ -90,71 +63,82 @@ func RunAllSuitesContext(ctx context.Context, jobs int, suites ...*Suite) error 
 		s.queue = nil
 		s.mu.Unlock()
 	}
-	if len(tasks) == 0 {
-		return ctx.Err()
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(tasks) {
-		jobs = len(tasks)
-	}
 
 	// Wall-clock time below is display-only (progress/ETA); nothing
 	// cycle-level ever observes it.
 	start := time.Now()
-	total := len(tasks)
 	errs := make([]error, len(tasks))
-	var next, done atomic.Int64
+	var done atomic.Int64
+	forEach(context.Background(), jobs, len(tasks), func(i int) {
+		t := tasks[i]
+		runStart := time.Now()
+		res, err := t.s.Run(t.req.Workload, t.req.Policy, t.req.Variant)
+		d := int(done.Add(1))
+		if err != nil {
+			errs[i] = fmt.Errorf("%s/%s: %w", t.req.Workload, t.req.Policy, err)
+			return
+		}
+		if rep := t.s.Reporter; rep != nil {
+			rep.RunDone(RunEvent{
+				Workload: t.req.Workload,
+				Policy:   t.req.Policy,
+				Variant:  t.req.Variant,
+				Result:   res,
+				Done:     d,
+				Total:    len(tasks),
+				Elapsed:  time.Since(start),
+				Duration: time.Since(runStart),
+			})
+		}
+	})
+	return errors.Join(errs...)
+}
+
+// RunBatch runs exactly reqs on s, each once, on at most jobs workers
+// (<= 0 means GOMAXPROCS); it never touches the prefetch queue. As
+// request i completes, its worker calls done(i, res, cached, err), so
+// done must be safe for concurrent use. cached is true exactly when the
+// in-memory cache served the call (a completed entry or a single-flight
+// join), i.e. when CacheHits counts it. Cancellation is dispatch-level:
+// once ctx is done no further request starts and requests never started
+// get no callback, but a simulation already in flight runs to
+// completion (the cycle loop is not interruptible — determinism would
+// otherwise depend on when the cancel landed).
+func (s *Suite) RunBatch(ctx context.Context, jobs int, reqs []RunRequest, done func(i int, res sim.Result, cached bool, err error)) {
+	forEach(ctx, jobs, len(reqs), func(i int) {
+		r := reqs[i]
+		res, cached, err := s.run(r.Workload, r.Policy, r.Variant)
+		done(i, res, cached, err)
+	})
+}
+
+// forEach is the harness's one worker pool: it calls work(i) for every
+// i in [0, n), claiming indices in order on at most jobs goroutines
+// (<= 0 means GOMAXPROCS), and returns once every claimed call has
+// finished. Once ctx is done no further index is claimed.
+func forEach(ctx context.Context, jobs, n int, work func(i int)) {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	if jobs > n {
+		jobs = n
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= total {
+				if i >= n {
 					return
 				}
-				t := tasks[i]
-				runStart := time.Now()
-				res, err := t.s.Run(t.req.Workload, t.req.Policy, t.req.Variant)
-				d := int(done.Add(1))
-				if err != nil {
-					errs[i] = fmt.Errorf("%s/%s: %w", t.req.Workload, t.req.Policy, err)
-					continue
-				}
-				if rep := t.s.Reporter; rep != nil {
-					rep.RunDone(RunEvent{
-						Workload: t.req.Workload,
-						Policy:   t.req.Policy,
-						Variant:  t.req.Variant,
-						Result:   res,
-						Done:     d,
-						Total:    total,
-						Elapsed:  time.Since(start),
-						Duration: time.Since(runStart),
-					})
-				}
+				work(i)
 			}
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// Tasks past the final claim counter were never dispatched;
-		// hand them back (the queued-marks are still set, so Prefetch
-		// keeps deduplicating against them).
-		if n := int(next.Load()); n < total {
-			for _, t := range tasks[n:] {
-				t.s.requeue(t.req)
-			}
-		}
-		errs = append(errs, fmt.Errorf("harness: run pool cancelled: %w", err))
-	}
-	return errors.Join(errs...)
 }
 
 // RunEvent describes one run drained by RunAll.

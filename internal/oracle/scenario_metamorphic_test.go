@@ -80,7 +80,7 @@ func TestMetamorphicFlipDegeneracy(t *testing.T) {
 	}
 	base := runScn(t, mk(0, 0), latteFactory).StateHash()
 	for _, tc := range []struct {
-		name                 string
+		name                  string
 		flipEvery, flipRegion int
 	}{
 		{"never-reached", iters, 1},

@@ -20,31 +20,13 @@ const (
 	stateFailed  jobState = "failed"
 )
 
-// runKey identifies one (suite, workload, policy, variant) run for the
-// reporter fan-out: suite-level completion events are routed to the
-// jobs subscribed to exactly that run.
-type runKey struct {
-	fp       uint64
-	workload string
-	policy   harness.Policy
-	variant  harness.Variant
-}
-
-// freshInfo is what the suite reporter learned about a run dispatched
-// while this job was subscribed: it executed fresh (not from cache) and
-// took this long.
-type freshInfo struct {
-	duration time.Duration
-}
-
 // Job is one admitted simulation batch. The daemon owns the job for its
 // whole lifetime; HTTP handlers only ever read snapshots under mu.
 type Job struct {
 	id       string
 	reqs     []harness.RunRequest
 	suite    *harness.Suite
-	fp       uint64
-	fpx      string // fp pre-rendered; immutable, so readable under mu without a call
+	fpx      string // suite fingerprint pre-rendered; immutable, so readable under mu without a call
 	deadline time.Duration
 
 	// mu guards every mutable field; it is never held across a call
@@ -60,10 +42,6 @@ type Job struct {
 	//lint:guards mu
 	events []Event
 	//lint:guards mu
-	fresh map[runKey]freshInfo
-	//lint:guards mu
-	emitted map[runKey]bool
-	//lint:guards mu
 	notify chan struct{} // closed and replaced on every append
 }
 
@@ -72,12 +50,9 @@ func newJob(id string, reqs []harness.RunRequest, suite *harness.Suite, fp uint6
 		id:       id,
 		reqs:     reqs,
 		suite:    suite,
-		fp:       fp,
 		fpx:      fpHex(fp),
 		deadline: deadline,
 		state:    stateQueued,
-		fresh:    map[runKey]freshInfo{},
-		emitted:  map[runKey]bool{},
 		notify:   make(chan struct{}),
 	}
 	j.appendEvent(Event{Type: "queued", Data: map[string]any{"id": id, "runs": len(reqs)}})
@@ -139,42 +114,6 @@ func (j *Job) finish(state jobState, results []RunResult, errMsg string, ev Even
 	close(j.notify)
 	j.notify = make(chan struct{})
 	j.mu.Unlock()
-}
-
-// noteFresh records a reporter event for one of this job's runs and
-// emits the per-run SSE frame immediately — this is the live progress
-// path while the pool is still draining the batch.
-func (j *Job) noteFresh(k runKey, res RunResult) {
-	j.mu.Lock()
-	if j.emitted[k] {
-		j.mu.Unlock()
-		return
-	}
-	j.emitted[k] = true
-	j.fresh[k] = freshInfo{duration: time.Duration(res.DurationMS * float64(time.Millisecond))}
-	j.mu.Unlock()
-	j.appendEvent(Event{Type: "run", Data: res})
-}
-
-// freshRun returns what the reporter recorded for k, if anything.
-func (j *Job) freshRun(k runKey) (freshInfo, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	fi, ok := j.fresh[k]
-	return fi, ok
-}
-
-// emitRunOnce emits the per-run frame for cache-served runs that never
-// produced a reporter event.
-func (j *Job) emitRunOnce(k runKey, res RunResult) {
-	j.mu.Lock()
-	if j.emitted[k] {
-		j.mu.Unlock()
-		return
-	}
-	j.emitted[k] = true
-	j.mu.Unlock()
-	j.appendEvent(Event{Type: "run", Data: res})
 }
 
 // status renders the job for GET /v1/runs/{id}.
@@ -269,9 +208,10 @@ type RunResult struct {
 	// determinism contract: byte-identical to a direct Suite.MustRun of
 	// the same (workload, policy, variant, config).
 	StateHash string `json:"state_hash"`
-	// Cached is best-effort attribution: false when this job observed
-	// the run execute fresh, true when it was served from the resident
-	// cache (possibly warmed by an earlier job).
+	// Cached is true when the resident suite's in-memory cache served
+	// the run (a completed result, or a join of one in flight); a fresh
+	// simulation or a result-store load is false. DurationMS is this
+	// job's wait for the run, from the start of its batch.
 	Cached     bool    `json:"cached"`
 	DurationMS float64 `json:"duration_ms"`
 }

@@ -51,7 +51,8 @@ type histogram struct {
 	count  uint64
 }
 
-// observeRun records one fresh simulation's wall-clock latency.
+// observeRun records a job's wall-clock wait for one run the in-memory
+// cache did not serve (a fresh simulation or a result-store load).
 func (m *metrics) observeRun(workload string, d time.Duration) {
 	s := d.Seconds()
 	m.mu.Lock()
@@ -156,7 +157,7 @@ func (m *metrics) write(w io.Writer, snap metricsSnapshot) {
 	m.mu.Unlock()
 
 	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP latteccd_run_seconds Wall-clock latency of fresh simulations, per workload.\n")
+	fmt.Fprintf(w, "# HELP latteccd_run_seconds Wall-clock wait for runs not served from the in-memory cache, per workload.\n")
 	fmt.Fprintf(w, "# TYPE latteccd_run_seconds histogram\n")
 	for _, name := range names {
 		h := hists[name]

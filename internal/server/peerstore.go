@@ -100,12 +100,12 @@ func (t *tieredStore) fetch(base, keyx string) ([]byte, bool) {
 // they receive, so this endpoint never needs to decode.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
-		writeJSONError(w, http.StatusNotFound, "no result store configured")
+		WriteJSONError(w, http.StatusNotFound, "no result store configured")
 		return
 	}
 	raw, ok := s.store.disk.GetRaw(r.PathValue("key"))
 	if !ok {
-		writeJSONError(w, http.StatusNotFound, "no such entry")
+		WriteJSONError(w, http.StatusNotFound, "no such entry")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

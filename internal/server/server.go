@@ -8,7 +8,7 @@
 //
 //	POST /v1/runs              submit one run or a batch; returns a job ID
 //	GET  /v1/runs/{id}         job status + results (cycles, IPC, StateHash)
-//	GET  /v1/runs/{id}/events  SSE progress stream (wired to harness.Reporter)
+//	GET  /v1/runs/{id}/events  SSE progress stream (one run frame per request)
 //	GET  /metrics              Prometheus text format
 //	GET  /healthz, /readyz     liveness / readiness (503 while draining)
 //
@@ -16,7 +16,9 @@
 // same StateHash as a direct Suite.MustRun for the same (workload,
 // policy, variant, config). The daemon only ever layers scheduling
 // around the harness's single-flight cache — it never touches what is
-// computed.
+// computed. Each job runs exactly its own request list, once per
+// request, through Suite.RunBatch under the job's deadline; a job that
+// times out leaves nothing behind for later jobs.
 package server
 
 import (
@@ -42,8 +44,8 @@ type Config struct {
 	BaseConfig sim.Config
 	// Workers is how many jobs execute concurrently (default 2).
 	Workers int
-	// RunJobs bounds each job's simulation pool width, i.e. the Jobs
-	// knob of the underlying suites (<= 0 means GOMAXPROCS).
+	// RunJobs bounds each job's simulation pool width: the width of
+	// its Suite.RunBatch (<= 0 means GOMAXPROCS).
 	RunJobs int
 	// QueueDepth bounds the admission queue; a full queue answers 429
 	// with Retry-After (default 64).
@@ -81,7 +83,6 @@ type Server struct {
 	mu        sync.Mutex
 	suites    map[uint64]*harness.Suite
 	jobs      map[string]*Job
-	subs      map[runKey][]*Job
 	workloads map[string]bool
 	policies  map[harness.Policy]bool
 
@@ -115,7 +116,6 @@ func New(cfg Config) *Server {
 		metrics:   newMetrics(),
 		suites:    map[uint64]*harness.Suite{},
 		jobs:      map[string]*Job{},
-		subs:      map[runKey][]*Job{},
 		workloads: map[string]bool{},
 		policies:  map[harness.Policy]bool{},
 		queue:     make(chan *Job, cfg.QueueDepth),
@@ -206,9 +206,8 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job: subscribe for live reporter events, drain the
-// batch through the harness pool under the job's deadline, then collect
-// results serially from the cache.
+// execute runs one job: exactly its own request list, each once, through
+// the harness pool under the job's deadline.
 func (s *Server) execute(j *Job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -223,39 +222,37 @@ func (s *Server) execute(j *Job) {
 		cancel() // injected fault: the deadline fires before any run starts
 	}
 
-	s.subscribe(j)
-	defer s.unsubscribe(j)
-
-	j.suite.Prefetch(j.reqs...)
-	// The pool error is deliberately not inspected: failures of this
-	// job's own runs resurface from the cached entries in the collect
-	// loop below, failures of other jobs' runs (single-flight sharing)
-	// are not this job's problem, and cancellation is visible on ctx.
-	_ = harness.RunAllSuitesContext(ctx, s.cfg.RunJobs, j.suite)
-
-	results := make([]RunResult, 0, len(j.reqs))
-	for _, r := range j.reqs {
-		if err := ctx.Err(); err != nil {
-			s.metrics.jobsFailed.Add(1)
-			j.fail(fmt.Sprintf("deadline exceeded: %v", err))
+	results := make([]RunResult, len(j.reqs))
+	errs := make([]error, len(j.reqs))
+	start := time.Now()
+	j.suite.RunBatch(ctx, s.cfg.RunJobs, j.reqs, func(i int, res sim.Result, cached bool, err error) {
+		if err != nil {
+			errs[i] = err
 			return
 		}
-		res, err := j.suite.Run(r.Workload, r.Policy, r.Variant)
+		wait := time.Since(start)
+		if !cached {
+			s.metrics.observeRun(j.reqs[i].Workload, wait)
+		}
+		rr := makeRunResult(j.reqs[i], res)
+		rr.Cached = cached
+		rr.DurationMS = float64(wait) / float64(time.Millisecond)
+		results[i] = rr
+		j.appendEvent(Event{Type: "run", Data: rr})
+	})
+
+	if err := ctx.Err(); err != nil {
+		s.metrics.jobsFailed.Add(1)
+		j.fail(fmt.Sprintf("deadline exceeded: %v", err))
+		return
+	}
+	for i, err := range errs {
 		if err != nil {
+			r := j.reqs[i]
 			s.metrics.jobsFailed.Add(1)
 			j.fail(fmt.Sprintf("%s/%s: %v", r.Workload, r.Policy, err))
 			return
 		}
-		k := runKey{fp: j.fp, workload: r.Workload, policy: r.Policy, variant: r.Variant}
-		rr := makeRunResult(r, res)
-		if fi, ok := j.freshRun(k); ok {
-			rr.Cached = false
-			rr.DurationMS = float64(fi.duration) / float64(time.Millisecond)
-		} else {
-			rr.Cached = true
-		}
-		j.emitRunOnce(k, rr)
-		results = append(results, rr)
 	}
 	s.metrics.jobsCompleted.Add(1)
 	j.complete(results)
@@ -284,8 +281,8 @@ func variantSpec(v harness.Variant) VariantSpec {
 	}
 }
 
-// suiteFor returns the resident suite for cfg, creating it (with the
-// server's fan-out reporter attached) on first use.
+// suiteFor returns the resident suite for cfg, creating it on first
+// use.
 func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
 	fp := cfg.Fingerprint()
 	s.mu.Lock()
@@ -294,8 +291,6 @@ func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
 		return st, fp
 	}
 	st := harness.NewSuite(cfg)
-	st.Jobs = s.cfg.RunJobs
-	st.Reporter = &suiteReporter{srv: s, fp: fp}
 	if s.store != nil {
 		// Guarded assignment: a nil *tieredStore inside a non-nil
 		// harness.Store interface would defeat the suite's nil check.
@@ -303,60 +298,6 @@ func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
 	}
 	s.suites[fp] = st
 	return st, fp
-}
-
-// subscribe registers j for reporter events of every run in its batch.
-func (s *Server) subscribe(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range j.reqs {
-		k := runKey{fp: j.fp, workload: r.Workload, policy: r.Policy, variant: r.Variant}
-		s.subs[k] = append(s.subs[k], j)
-	}
-}
-
-func (s *Server) unsubscribe(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range j.reqs {
-		k := runKey{fp: j.fp, workload: r.Workload, policy: r.Policy, variant: r.Variant}
-		keep := s.subs[k][:0]
-		for _, sub := range s.subs[k] {
-			if sub != j {
-				keep = append(keep, sub)
-			}
-		}
-		if len(keep) == 0 {
-			delete(s.subs, k)
-		} else {
-			s.subs[k] = keep
-		}
-	}
-}
-
-// suiteReporter is the harness.Reporter installed on every resident
-// suite: it feeds the latency histograms and fans completion events out
-// to the jobs subscribed to that run. It must be safe for concurrent
-// use (the pool calls it from several workers).
-type suiteReporter struct {
-	srv *Server
-	fp  uint64
-}
-
-func (r *suiteReporter) RunDone(e harness.RunEvent) {
-	r.srv.metrics.observeRun(e.Workload, e.Duration)
-	k := runKey{fp: r.fp, workload: e.Workload, policy: e.Policy, variant: e.Variant}
-	r.srv.mu.Lock()
-	subs := append([]*Job(nil), r.srv.subs[k]...)
-	r.srv.mu.Unlock()
-	if len(subs) == 0 {
-		return
-	}
-	rr := makeRunResult(harness.RunRequest{Workload: e.Workload, Policy: e.Policy, Variant: e.Variant}, e.Result)
-	rr.DurationMS = float64(e.Duration) / float64(time.Millisecond)
-	for _, j := range subs {
-		j.noteFresh(k, rr)
-	}
 }
 
 // --- HTTP handlers ----------------------------------------------------
@@ -369,7 +310,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer s.admit.RUnlock()
 	if s.draining.Load() {
 		s.metrics.rejectedDraining.Add(1)
-		writeJSONError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteJSONError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 
@@ -378,7 +319,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.metrics.rejectedInvalid.Add(1)
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 
@@ -386,14 +327,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Workload != "" || req.Policy != "" {
 		if len(specs) > 0 {
 			s.metrics.rejectedInvalid.Add(1)
-			writeJSONError(w, http.StatusBadRequest, "give either an inline workload/policy or a runs batch, not both")
+			WriteJSONError(w, http.StatusBadRequest, "give either an inline workload/policy or a runs batch, not both")
 			return
 		}
 		specs = []RunSpec{{Workload: req.Workload, Policy: req.Policy, Variant: req.Variant}}
 	}
 	if len(specs) == 0 {
 		s.metrics.rejectedInvalid.Add(1)
-		writeJSONError(w, http.StatusBadRequest, "no runs submitted")
+		WriteJSONError(w, http.StatusBadRequest, "no runs submitted")
 		return
 	}
 
@@ -401,12 +342,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for _, spec := range specs {
 		if !s.workloads[spec.Workload] {
 			s.metrics.rejectedInvalid.Add(1)
-			writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown workload %q", spec.Workload))
+			WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown workload %q", spec.Workload))
 			return
 		}
 		if !s.policies[harness.Policy(spec.Policy)] {
 			s.metrics.rejectedInvalid.Add(1)
-			writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown policy %q", spec.Policy))
+			WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown policy %q", spec.Policy))
 			return
 		}
 		reqs = append(reqs, harness.RunRequest{
@@ -419,7 +360,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	cfg, err := req.Config.Apply(s.cfg.BaseConfig)
 	if err != nil {
 		s.metrics.rejectedInvalid.Add(1)
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -450,22 +391,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.metrics.rejectedFull.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeJSONError(w, http.StatusTooManyRequests, "job queue full")
+		WriteJSONError(w, http.StatusTooManyRequests, "job queue full")
 		return
 	}
 
 	s.metrics.jobsAccepted.Add(1)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, SubmitResponse{ID: id, Status: string(stateQueued), Runs: len(reqs), Fingerprint: fpHex(fp)})
+	WriteJSON(w, SubmitResponse{ID: id, Status: string(stateQueued), Runs: len(reqs), Fingerprint: fpHex(fp)})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeJSONError(w, http.StatusNotFound, "no such job")
+		WriteJSONError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, j.status())
+	WriteJSON(w, j.status())
 }
 
 // handleEvents streams a job's event log as Server-Sent Events: the
@@ -475,12 +416,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeJSONError(w, http.StatusNotFound, "no such job")
+		WriteJSONError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSONError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteJSONError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -513,7 +454,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // work this worker holds and whether it is draining. Cheap by design —
 // the router polls it once per health interval per worker.
 func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, LoadStatus{
+	WriteJSON(w, LoadStatus{
 		Queued:        int64(len(s.queue)),
 		Running:       s.running.Load(),
 		QueueCapacity: int64(cap(s.queue)),
@@ -550,7 +491,9 @@ func (s *Server) jobByID(id string) *Job {
 	return s.jobs[id]
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as indented JSON, defaulting the Content-Type to
+// application/json. Shared by the daemon and the cluster router.
+func WriteJSON(w http.ResponseWriter, v any) {
 	if w.Header().Get("Content-Type") == "" {
 		w.Header().Set("Content-Type", "application/json")
 	}
@@ -559,7 +502,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
+// WriteJSONError answers code with a {"error": msg} JSON body.
+func WriteJSONError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})

@@ -389,16 +389,37 @@ func TestMetricsAccounting(t *testing.T) {
 
 // TestSSEEvents reads a finished job's event stream and checks the full
 // replay: queued, running, one run frame per request, done — in order.
+// A batch that names the same run twice gets two results and two run
+// frames: every request is answered, not every distinct run.
 func TestSSEEvents(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	sr := submit(t, ts.URL, SubmitRequest{Runs: []RunSpec{
-		{Workload: "BO", Policy: "Uncompressed"},
-		{Workload: "BO", Policy: "LATTE-CC"},
-	}})
-	waitJob(t, ts.URL, sr.ID)
+	for _, runs := range [][]RunSpec{
+		{{Workload: "BO", Policy: "Uncompressed"}, {Workload: "BO", Policy: "LATTE-CC"}},
+		{{Workload: "SS", Policy: "Static-BDI"}, {Workload: "SS", Policy: "Static-BDI"}},
+	} {
+		sr := submit(t, ts.URL, SubmitRequest{Runs: runs})
+		if st := waitJob(t, ts.URL, sr.ID); st.Status != string(stateDone) || len(st.Results) != len(runs) {
+			t.Fatalf("%v: status %s, %d results, want %d", runs, st.Status, len(st.Results), len(runs))
+		}
+		types, runFrames := readEvents(t, ts.URL, sr.ID)
+		want := []string{"queued", "running", "run", "run", "done"}
+		if strings.Join(types, ",") != strings.Join(want, ",") {
+			t.Fatalf("%v: event sequence %v, want %v", runs, types, want)
+		}
+		for _, rr := range runFrames {
+			if rr.StateHash == "" || rr.Cycles == 0 {
+				t.Errorf("run frame %s/%s missing payload", rr.Workload, rr.Policy)
+			}
+		}
+	}
+}
 
-	resp, err := http.Get(ts.URL + "/v1/runs/" + sr.ID + "/events")
+// readEvents replays a finished job's SSE stream, returning the event
+// types in order and the payload of every run frame.
+func readEvents(t *testing.T, base, id string) ([]string, []RunResult) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/runs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,15 +449,94 @@ func TestSSEEvents(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return types, runFrames
+}
 
-	want := []string{"queued", "running", "run", "run", "done"}
-	if strings.Join(types, ",") != strings.Join(want, ",") {
-		t.Fatalf("event sequence %v, want %v", types, want)
+// scrapeCounter reads one unlabelled counter off /metrics.
+func scrapeCounter(t *testing.T, base, name string) uint64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, rr := range runFrames {
-		if rr.StateHash == "" || rr.Cycles == 0 {
-			t.Errorf("run frame %s/%s missing payload", rr.Workload, rr.Policy)
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(page), "\n") {
+		var v uint64
+		if n, _ := fmt.Sscanf(line, name+" %d", &v); n == 1 {
+			return v
 		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
+
+// TestCachedAttribution: a run a job simulates is reported uncached and
+// is not a cache hit; the same batch resubmitted is served from memory,
+// reported cached, and counts one hit per request.
+func TestCachedAttribution(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	batch := SubmitRequest{Runs: []RunSpec{
+		{Workload: "BO", Policy: "Uncompressed"},
+		{Workload: "SS", Policy: "Uncompressed"},
+	}}
+
+	for pass, want := range []struct {
+		cached bool
+		hits   uint64
+	}{{false, 0}, {true, 2}} {
+		st := waitJob(t, ts.URL, submit(t, ts.URL, batch).ID)
+		if st.Status != string(stateDone) || len(st.Results) != 2 {
+			t.Fatalf("pass %d: status %s, %d results", pass, st.Status, len(st.Results))
+		}
+		for _, r := range st.Results {
+			if r.Cached != want.cached {
+				t.Errorf("pass %d: %s/%s cached=%v, want %v", pass, r.Workload, r.Policy, r.Cached, want.cached)
+			}
+		}
+		if got := scrapeCounter(t, ts.URL, "latteccd_simulation_cache_hits_total"); got != want.hits {
+			t.Errorf("pass %d: cache hits %d, want %d", pass, got, want.hits)
+		}
+	}
+}
+
+// TestTimedOutJobLeavesNothingBehind: a job that runs out of time must
+// not hand its unrun requests to the next job on the same suite — that
+// job simulates exactly its own run, under its own deadline.
+func TestTimedOutJobLeavesNothingBehind(t *testing.T) {
+	s, ts := newTestServer(t, Config{RunJobs: 1})
+	sms := 1
+	ov := &ConfigOverrides{NumSMs: &sms} // private override: a cold suite
+
+	var six []RunSpec
+	for _, w := range []string{"BO", "SS", "FW"} {
+		for _, p := range []string{"Uncompressed", "LATTE-CC"} {
+			six = append(six, RunSpec{Workload: w, Policy: p})
+		}
+	}
+	st := waitJob(t, ts.URL, submit(t, ts.URL, SubmitRequest{Runs: six, Config: ov, DeadlineMS: 1}).ID)
+	if st.Status != string(stateFailed) || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("6-run job under 1 ms: status %s, error %q", st.Status, st.Error)
+	}
+
+	cfg, err := ov.Apply(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	suite := s.suites[cfg.Fingerprint()]
+	s.mu.Unlock()
+	before := suite.Simulations()
+
+	st = waitJob(t, ts.URL, submit(t, ts.URL, SubmitRequest{Workload: "NW", Policy: "Uncompressed", Config: ov}).ID)
+	if st.Status != string(stateDone) {
+		t.Fatalf("follow-up job: %s (%s)", st.Status, st.Error)
+	}
+	if got := suite.Simulations() - before; got != 1 {
+		t.Fatalf("1-run job after a timed-out one simulated %d runs, want 1", got)
 	}
 }
 
