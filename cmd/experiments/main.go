@@ -132,7 +132,10 @@ func main() {
 	}
 
 	if *hashes {
-		printHashes(suite, selected)
+		if err := printHashes(suite, selected); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -178,7 +181,7 @@ func main() {
 // 0x<state-hash>" line per distinct run in the selected experiments.
 // This is the machine-readable ground truth the latteccd smoke test
 // compares daemon results against.
-func printHashes(suite *harness.Suite, selected []harness.Experiment) {
+func printHashes(suite *harness.Suite, selected []harness.Experiment) error {
 	seen := map[string]bool{}
 	var lines []string
 	for _, e := range selected {
@@ -186,7 +189,10 @@ func printHashes(suite *harness.Suite, selected []harness.Experiment) {
 			continue
 		}
 		for _, r := range e.Runs() {
-			res := suite.MustRun(r.Workload, r.Policy, r.Variant)
+			res, err := suite.Run(r.Workload, r.Policy, r.Variant)
+			if err != nil {
+				return err
+			}
 			line := fmt.Sprintf("hash %s %s %s 0x%016x", r.Workload, r.Policy, variantTag(r.Variant), res.StateHash())
 			if !seen[line] {
 				seen[line] = true
@@ -198,6 +204,7 @@ func printHashes(suite *harness.Suite, selected []harness.Experiment) {
 	for _, l := range lines {
 		fmt.Println(l)
 	}
+	return nil
 }
 
 // variantTag renders a Variant as a stable single token ("-" when zero).

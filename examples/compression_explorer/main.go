@@ -1,14 +1,17 @@
 // Compression explorer: run the five cache-line codecs standalone over
 // data with different value-locality characteristics and see which
-// algorithm wins where — the Figure 2 phenomenon in miniature.
+// algorithm wins where — the Figure 2 phenomenon in miniature. Given a
+// file, it compares the codecs over that file's 128-byte lines instead.
 //
-//	go run ./examples/compression_explorer
+//	go run ./examples/compression_explorer [file]
 package main
 
 import (
 	"encoding/binary"
 	"fmt"
+	"log"
 	"math/rand"
+	"os"
 
 	"lattecc"
 )
@@ -26,10 +29,11 @@ func main() {
 	rng := rand.New(rand.NewSource(42))
 
 	// Three corpora with distinct value locality.
-	corpora := []struct {
+	type corpus struct {
 		name  string
 		lines [][]byte
-	}{
+	}
+	corpora := []corpus{
 		{"array indices (spatial locality)", mkLines(200, func(l, i int) uint32 {
 			return uint32(l*1024 + i*4) // smooth within-line deltas: BDI's case
 		})},
@@ -41,6 +45,13 @@ func main() {
 		{"random (incompressible)", mkLines(200, func(l, i int) uint32 {
 			return rng.Uint32()
 		})},
+	}
+	if len(os.Args) > 1 {
+		lines, err := fileLines(os.Args[1])
+		if err != nil {
+			log.Fatal(err)
+		}
+		corpora = []corpus{{fmt.Sprintf("%s (%d lines)", os.Args[1], len(lines)), lines}}
 	}
 
 	for _, corpus := range corpora {
@@ -88,4 +99,21 @@ func mkLines(n int, gen func(line, word int) uint32) [][]byte {
 		out[l] = lineOf(func(i int) uint32 { return gen(l, i) })
 	}
 	return out
+}
+
+// fileLines splits a file into its full 128-byte cache lines; a trailing
+// partial line is dropped.
+func fileLines(path string) ([][]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var out [][]byte
+	for off := 0; off+lattecc.LineSize <= len(data); off += lattecc.LineSize {
+		out = append(out, data[off:off+lattecc.LineSize])
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no full %d-byte cache lines", path, lattecc.LineSize)
+	}
+	return out, nil
 }

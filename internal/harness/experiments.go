@@ -46,31 +46,37 @@ func renderTable(f func(*Suite) (*stats.Table, error)) func(*Suite) (string, err
 
 // Experiments lists every table and figure of the paper's evaluation, in
 // paper order. `cmd/experiments -exp <id>` runs one; DESIGN.md carries
-// the full index.
+// the full index. An experiment with a Table renders it as its Run.
 func Experiments() []Experiment {
-	return []Experiment{
-		{"tab1", "Table I: compression algorithm comparison", Tab1, tab1Table, nil},
-		{"fig1", "Figure 1: IPC sensitivity to added L1 hit latency", Fig1, fig1Table, fig1Runs},
-		{"fig2", "Figure 2: compression ratio of inserted L1 lines", Fig2, fig2Table, nil},
-		{"fig3", "Figure 3: capacity-only speedup upper bound", Fig3, fig3Table, fig3Runs},
-		{"fig4", "Figure 4: degradation from decompression latency alone", Fig4, fig4Table, fig4Runs},
-		{"fig5", "Figure 5: SS latency tolerance over time", Fig5, nil, fig5Runs},
-		{"fig6", "Figure 6: potential performance and energy impact", Fig6, fig6Table, fig6Runs},
-		{"tab2", "Table II: simulated baseline configuration", Tab2, tab2Table, nil},
-		{"tab3", "Table III: benchmarks", Tab3, tab3Table, nil},
-		{"fig11", "Figure 11: speedup vs baseline (all policies)", Fig11, fig11Table, fig11Runs},
-		{"fig12", "Figure 12: L1 miss reduction", Fig12, fig12Table, fig11Runs},
-		{"fig13", "Figure 13: normalized GPU energy", Fig13, fig13Table, fig13Runs},
-		{"fig14", "Figure 14: LATTE-CC energy savings breakdown", Fig14, fig14Table, fig14Runs},
-		{"fig15", "Figure 15: LATTE-CC vs Kernel-OPT agreement", Fig15, fig15Table, fig15Runs},
-		{"fig16", "Figure 16: SS effective cache capacity over time", Fig16, nil, fig16Runs},
-		{"fig17", "Figure 17: adaptive policy comparison", Fig17, fig17Table, fig17Runs},
-		{"fig18", "Figure 18: LATTE-CC with BDI+BPC modes", Fig18, fig18Table, fig18Runs},
-		{"sens48k", "Section V-E: 48KB L1 sensitivity", Sens48K, sens48KTable, nil},
-		{"writepolicy", "Section IV-C3: write-avoid vs write-through L1", WritePolicy, writePolicyTable, writePolicyRuns},
-		{"sensparams", "LATTE-CC parameter sensitivity (EP length, sampling sets, decompressor)", SensParams, sensParamsTable, sensParamsRuns},
-		{"ablation", "Design-choice ablations (DESIGN.md section 4)", Ablation, nil, ablationRuns},
+	exps := []Experiment{
+		{ID: "tab1", Title: "Table I: compression algorithm comparison", Table: tab1Table},
+		{ID: "fig1", Title: "Figure 1: IPC sensitivity to added L1 hit latency", Table: fig1Table, Runs: fig1Runs},
+		{ID: "fig2", Title: "Figure 2: compression ratio of inserted L1 lines", Table: fig2Table},
+		{ID: "fig3", Title: "Figure 3: capacity-only speedup upper bound", Table: fig3Table, Runs: fig3Runs},
+		{ID: "fig4", Title: "Figure 4: degradation from decompression latency alone", Table: fig4Table, Runs: fig4Runs},
+		{ID: "fig5", Title: "Figure 5: SS latency tolerance over time", Run: fig5, Runs: fig5Runs},
+		{ID: "fig6", Title: "Figure 6: potential performance and energy impact", Table: fig6Table, Runs: fig6Runs},
+		{ID: "tab2", Title: "Table II: simulated baseline configuration", Table: tab2Table},
+		{ID: "tab3", Title: "Table III: benchmarks", Table: tab3Table},
+		{ID: "fig11", Title: "Figure 11: speedup vs baseline (all policies)", Table: fig11Table, Runs: fig11Runs},
+		{ID: "fig12", Title: "Figure 12: L1 miss reduction", Table: fig12Table, Runs: fig11Runs},
+		{ID: "fig13", Title: "Figure 13: normalized GPU energy", Table: fig13Table, Runs: fig13Runs},
+		{ID: "fig14", Title: "Figure 14: LATTE-CC energy savings breakdown", Table: fig14Table, Runs: fig14Runs},
+		{ID: "fig15", Title: "Figure 15: LATTE-CC vs Kernel-OPT agreement", Table: fig15Table, Runs: fig15Runs},
+		{ID: "fig16", Title: "Figure 16: SS effective cache capacity over time", Run: fig16, Runs: fig16Runs},
+		{ID: "fig17", Title: "Figure 17: adaptive policy comparison", Table: fig17Table, Runs: fig17Runs},
+		{ID: "fig18", Title: "Figure 18: LATTE-CC with BDI+BPC modes", Table: fig18Table, Runs: fig18Runs},
+		{ID: "sens48k", Title: "Section V-E: 48KB L1 sensitivity", Table: sens48KTable},
+		{ID: "writepolicy", Title: "Section IV-C3: write-avoid vs write-through L1", Table: writePolicyTable, Runs: writePolicyRuns},
+		{ID: "sensparams", Title: "LATTE-CC parameter sensitivity (EP length, sampling sets, decompressor)", Table: sensParamsTable, Runs: sensParamsRuns},
+		{ID: "ablation", Title: "Design-choice ablations (DESIGN.md section 4)", Run: ablation, Runs: ablationRuns},
 	}
+	for i := range exps {
+		if exps[i].Table != nil {
+			exps[i].Run = renderTable(exps[i].Table)
+		}
+	}
+	return exps
 }
 
 // ExperimentByID finds an experiment.
@@ -156,7 +162,7 @@ func ratioOver(c compress.Codec, lines [][]byte) float64 {
 	return un / co
 }
 
-// Tab1 reproduces Table I: per-algorithm decompression latency and the
+// tab1Table reproduces Table I: per-algorithm decompression latency and the
 // measured average compression ratio over the whole suite's data.
 func tab1Table(s *Suite) (*stats.Table, error) {
 	var all [][]byte
@@ -174,16 +180,13 @@ func tab1Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Tab1 renders the table.
-func Tab1(s *Suite) (string, error) { return renderTable(tab1Table)(s) }
-
 // fig1Workloads are the example workloads of Figure 1.
 var fig1Workloads = []string{"PRK", "CLR", "MIS", "BC", "FW"}
 
 // fig1Latencies is the swept added hit latency (BDI=2 ... SC=14).
 var fig1Latencies = []uint64{0, 2, 5, 9, 14}
 
-// Fig1 reproduces Figure 1: normalized IPC as L1 hit latency grows.
+// fig1Table reproduces Figure 1: normalized IPC as L1 hit latency grows.
 func fig1Table(s *Suite) (*stats.Table, error) {
 	header := []string{"workload"}
 	for _, l := range fig1Latencies {
@@ -191,21 +194,20 @@ func fig1Table(s *Suite) (*stats.Table, error) {
 	}
 	t := stats.NewTable(header...)
 	for _, name := range fig1Workloads {
-		base := s.MustRun(name, Uncompressed, Variant{})
 		row := []interface{}{name}
 		for _, lat := range fig1Latencies {
-			r := s.MustRun(name, Uncompressed, Variant{ExtraHitLatency: lat})
-			row = append(row, float64(base.Cycles)/float64(r.Cycles))
+			spd, err := s.Speedup(name, Uncompressed, Variant{ExtraHitLatency: lat})
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, spd)
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
 }
 
-// Fig1 renders the table.
-func Fig1(s *Suite) (string, error) { return renderTable(fig1Table)(s) }
-
-// Fig2 reproduces Figure 2: per-workload compression ratio under the five
+// fig2Table reproduces Figure 2: per-workload compression ratio under the five
 // algorithms, over the lines the workload actually inserts.
 func fig2Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("workload", "BDI", "FPC", "CPACK-Z", "BPC", "SC")
@@ -231,10 +233,7 @@ func fig2Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig2 renders the table.
-func Fig2(s *Suite) (string, error) { return renderTable(fig2Table)(s) }
-
-// Fig3 reproduces Figure 3: speedup upper bound when compression's
+// fig3Table reproduces Figure 3: speedup upper bound when compression's
 // capacity is free (zero decompression latency).
 func fig3Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("workload", "cat", "BDI-cap-only", "SC-cap-only")
@@ -259,10 +258,7 @@ func fig3Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig3 renders the table.
-func Fig3(s *Suite) (string, error) { return renderTable(fig3Table)(s) }
-
-// Fig4 reproduces Figure 4: slowdown when decompression latency applies
+// fig4Table reproduces Figure 4: slowdown when decompression latency applies
 // but capacity does not.
 func fig4Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("workload", "cat", "BDI-lat-only", "SC-lat-only")
@@ -281,11 +277,8 @@ func fig4Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig4 renders the table.
-func Fig4(s *Suite) (string, error) { return renderTable(fig4Table)(s) }
-
-// Fig5 reproduces Figure 5: SS's latency-tolerance estimate over time.
-func Fig5(s *Suite) (string, error) {
+// fig5 reproduces Figure 5: SS's latency-tolerance estimate over time.
+func fig5(s *Suite) (string, error) {
 	res, err := s.Run("SS", LatteCC, Variant{SampleSeries: true})
 	if err != nil {
 		return "", err
@@ -301,18 +294,24 @@ func Fig5(s *Suite) (string, error) {
 	return b.String(), nil
 }
 
-// Fig6 reproduces Figure 6: potential performance (a) and energy (b)
+// fig6Table reproduces Figure 6: potential performance (a) and energy (b)
 // impact of Static-BDI, Static-SC, and the adaptive scheme, C-Sens.
 func fig6Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("workload", "BDI-spd", "SC-spd", "LATTE-spd", "BDI-energy", "SC-energy", "LATTE-energy")
 	p := energy.DefaultParams()
 	for _, name := range CSensNames() {
-		base := s.MustRun(name, Uncompressed, Variant{})
+		base, err := s.Run(name, Uncompressed, Variant{})
+		if err != nil {
+			return nil, err
+		}
 		eb := energy.Evaluate(base, p)
 		row := []interface{}{name}
 		var spd, en []float64
 		for _, pol := range []Policy{StaticBDI, StaticSC, LatteCC} {
-			r := s.MustRun(name, pol, Variant{})
+			r, err := s.Run(name, pol, Variant{})
+			if err != nil {
+				return nil, err
+			}
 			spd = append(spd, float64(base.Cycles)/float64(r.Cycles))
 			en = append(en, energy.Normalized(energy.Evaluate(r, p), eb))
 		}
@@ -322,10 +321,7 @@ func fig6Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig6 renders the table.
-func Fig6(s *Suite) (string, error) { return renderTable(fig6Table)(s) }
-
-// Tab2 prints the simulated configuration (Table II).
+// tab2Table prints the simulated configuration (Table II).
 func tab2Table(s *Suite) (*stats.Table, error) {
 	cfg := s.Config()
 	t := stats.NewTable("parameter", "value")
@@ -346,10 +342,7 @@ func tab2Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Tab2 renders the table.
-func Tab2(s *Suite) (string, error) { return renderTable(tab2Table)(s) }
-
-// Tab3 prints the benchmark suite (Table III).
+// tab3Table prints the benchmark suite (Table III).
 func tab3Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("abbr", "category", "kernels", "approx-insts")
 	for _, w := range workload.All() {
@@ -370,13 +363,10 @@ func tab3Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Tab3 renders the table.
-func Tab3(s *Suite) (string, error) { return renderTable(tab3Table)(s) }
-
 // fig11Policies is the Figure 11 policy set.
 var fig11Policies = []Policy{StaticBDI, StaticSC, LatteCC, KernelOpt}
 
-// Fig11 reproduces Figure 11: speedup over the uncompressed baseline.
+// fig11Table reproduces Figure 11: speedup over the uncompressed baseline.
 func fig11Table(s *Suite) (*stats.Table, error) {
 	header := []string{"workload", "cat"}
 	for _, p := range fig11Policies {
@@ -407,10 +397,7 @@ func fig11Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig11 renders the table.
-func Fig11(s *Suite) (string, error) { return renderTable(fig11Table)(s) }
-
-// Fig12 reproduces Figure 12: L1 miss reduction per policy.
+// fig12Table reproduces Figure 12: L1 miss reduction per policy.
 func fig12Table(s *Suite) (*stats.Table, error) {
 	header := []string{"workload", "cat"}
 	for _, p := range fig11Policies {
@@ -441,10 +428,7 @@ func fig12Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig12 renders the table.
-func Fig12(s *Suite) (string, error) { return renderTable(fig12Table)(s) }
-
-// Fig13 reproduces Figure 13: GPU energy normalized to the baseline.
+// fig13Table reproduces Figure 13: GPU energy normalized to the baseline.
 func fig13Table(s *Suite) (*stats.Table, error) {
 	pols := []Policy{StaticBDI, StaticSC, LatteCC}
 	header := []string{"workload", "cat"}
@@ -456,10 +440,18 @@ func fig13Table(s *Suite) (*stats.Table, error) {
 	agg := map[Policy][]float64{}
 	for _, name := range Workloads() {
 		cat, _ := Category(name)
-		base := energy.Evaluate(s.MustRun(name, Uncompressed, Variant{}), params)
+		baseRun, err := s.Run(name, Uncompressed, Variant{})
+		if err != nil {
+			return nil, err
+		}
+		base := energy.Evaluate(baseRun, params)
 		row := []interface{}{name, cat.String()}
 		for _, p := range pols {
-			e := energy.Normalized(energy.Evaluate(s.MustRun(name, p, Variant{}), params), base)
+			r, err := s.Run(name, p, Variant{})
+			if err != nil {
+				return nil, err
+			}
+			e := energy.Normalized(energy.Evaluate(r, params), base)
 			row = append(row, e)
 			if cat == trace.CSens {
 				agg[p] = append(agg[p], e)
@@ -475,10 +467,7 @@ func fig13Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig13 renders the table.
-func Fig13(s *Suite) (string, error) { return renderTable(fig13Table)(s) }
-
-// Fig14 reproduces Figure 14: the breakdown of LATTE-CC's energy savings
+// fig14Table reproduces Figure 14: the breakdown of LATTE-CC's energy savings
 // for C-Sens workloads.
 func fig14Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("workload", "static", "data-movement", "mem-hierarchy", "exec", "codec-cost", "net")
@@ -486,9 +475,15 @@ func fig14Table(s *Suite) (*stats.Table, error) {
 	var sums energy.SavingsBreakdown
 	n := 0
 	for _, name := range CSensNames() {
-		base := energy.Evaluate(s.MustRun(name, Uncompressed, Variant{}), params)
-		run := energy.Evaluate(s.MustRun(name, LatteCC, Variant{}), params)
-		sv := energy.Savings(run, base)
+		baseRun, err := s.Run(name, Uncompressed, Variant{})
+		if err != nil {
+			return nil, err
+		}
+		latteRun, err := s.Run(name, LatteCC, Variant{})
+		if err != nil {
+			return nil, err
+		}
+		sv := energy.Savings(energy.Evaluate(latteRun, params), energy.Evaluate(baseRun, params))
 		t.AddRow(name, sv.Static, sv.DataMovement, sv.MemHierarchy, sv.Exec, sv.CodecCost, sv.Net)
 		sums.Add(sv)
 		n++
@@ -498,15 +493,15 @@ func fig14Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig14 renders the table.
-func Fig14(s *Suite) (string, error) { return renderTable(fig14Table)(s) }
-
-// Fig15 reproduces Figure 15: fraction of execution where LATTE-CC's
+// fig15Table reproduces Figure 15: fraction of execution where LATTE-CC's
 // decision agrees with Kernel-OPT's, and the performance delta.
 func fig15Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("workload", "agree-frac", "perf-delta(KernelOPT - LATTE)")
 	for _, name := range CSensNames() {
-		latte := s.MustRun(name, LatteCC, Variant{})
+		latte, err := s.Run(name, LatteCC, Variant{})
+		if err != nil {
+			return nil, err
+		}
 		sched, err := s.kernelOptSchedule(name, Variant{})
 		if err != nil {
 			return nil, err
@@ -529,19 +524,22 @@ func fig15Table(s *Suite) (*stats.Table, error) {
 		if total > 0 {
 			frac = float64(agree) / float64(total)
 		}
-		lspd, _ := s.Speedup(name, LatteCC, Variant{})
-		kspd, _ := s.Speedup(name, KernelOpt, Variant{})
+		lspd, err := s.Speedup(name, LatteCC, Variant{})
+		if err != nil {
+			return nil, err
+		}
+		kspd, err := s.Speedup(name, KernelOpt, Variant{})
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(name, frac, kspd-lspd)
 	}
 	return t, nil
 }
 
-// Fig15 renders the table.
-func Fig15(s *Suite) (string, error) { return renderTable(fig15Table)(s) }
-
-// Fig16 reproduces Figure 16: SS's effective cache capacity over time for
+// fig16 reproduces Figure 16: SS's effective cache capacity over time for
 // Static-BDI, Static-SC, and LATTE-CC.
-func Fig16(s *Suite) (string, error) {
+func fig16(s *Suite) (string, error) {
 	var b strings.Builder
 	for _, p := range []Policy{StaticBDI, StaticSC, LatteCC} {
 		res, err := s.Run("SS", p, Variant{SampleSeries: true})
@@ -572,7 +570,7 @@ func Fig16(s *Suite) (string, error) {
 	return b.String(), nil
 }
 
-// Fig17 reproduces Figure 17: LATTE-CC against the tolerance-blind
+// fig17Table reproduces Figure 17: LATTE-CC against the tolerance-blind
 // adaptive baselines, C-Sens workloads.
 func fig17Table(s *Suite) (*stats.Table, error) {
 	pols := []Policy{AdaptiveHits, AdaptiveCMP, LatteCC}
@@ -589,7 +587,10 @@ func fig17Table(s *Suite) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mr, _ := s.MissReduction(name, p)
+			mr, err := s.MissReduction(name, p)
+			if err != nil {
+				return nil, err
+			}
 			row = append(row, spd, mr)
 			agg[p] = append(agg[p], spd)
 		}
@@ -603,10 +604,7 @@ func fig17Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig17 renders the table.
-func Fig17(s *Suite) (string, error) { return renderTable(fig17Table)(s) }
-
-// Fig18 reproduces Figure 18: LATTE-CC with BDI+BPC component codecs.
+// fig18Table reproduces Figure 18: LATTE-CC with BDI+BPC component codecs.
 func fig18Table(s *Suite) (*stats.Table, error) {
 	t := stats.NewTable("workload", "LATTE-CC", "LATTE-CC-BDI-BPC")
 	var a, b []float64
@@ -627,10 +625,7 @@ func fig18Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig18 renders the table.
-func Fig18(s *Suite) (string, error) { return renderTable(fig18Table)(s) }
-
-// Sens48K reproduces the Section V-E cache-size sensitivity: the same
+// sens48KTable reproduces the Section V-E cache-size sensitivity: the same
 // comparison with a 48KB L1 (the alternative NVIDIA carve-out).
 func sens48KTable(s *Suite) (*stats.Table, error) {
 	cfg := s.Config()
@@ -658,14 +653,11 @@ func sens48KTable(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// Sens48K renders the table.
-func Sens48K(s *Suite) (string, error) { return renderTable(sens48KTable)(s) }
-
 // writePolicyWorkloads are the store-carrying benchmarks of the
 // Section IV-C3 write-policy study.
 var writePolicyWorkloads = []string{"FWT", "BP", "WC", "SR1", "SS", "KM"}
 
-// WritePolicy verifies the paper's Section IV-C3 claim that the L1 write
+// writePolicyTable verifies the paper's Section IV-C3 claim that the L1 write
 // policy has negligible performance impact, by re-running store-carrying
 // workloads with a write-through L1 (write hits expand compressed lines
 // and may evict neighbours) against the default write-avoid policy.
@@ -730,10 +722,7 @@ func writePolicyTable(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// WritePolicy renders the table.
-func WritePolicy(s *Suite) (string, error) { return renderTable(writePolicyTable)(s) }
-
-// SensParams sweeps LATTE-CC's own parameters (Section IV-C3 choices) on
+// sensParamsTable sweeps LATTE-CC's own parameters (Section IV-C3 choices) on
 // SS: the EP length, the number of dedicated sampling sets, and the
 // decompressor initiation interval.
 func sensParamsTable(s *Suite) (*stats.Table, error) {
@@ -773,16 +762,13 @@ func sensParamsTable(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// SensParams renders the table.
-func SensParams(s *Suite) (string, error) { return renderTable(sensParamsTable)(s) }
-
 // ablationWorkloads pick a representative C-Sens pair (one SC-affine,
 // one BDI-affine) plus a latency-critical C-InSens victim.
 var ablationWorkloads = []string{"SS", "FW", "NW"}
 
-// Ablation quantifies the design choices DESIGN.md sections 4-5 call
+// ablation quantifies the design choices DESIGN.md sections 4-5 call
 // out, on the ablationWorkloads trio.
-func Ablation(s *Suite) (string, error) {
+func ablation(s *Suite) (string, error) {
 	var b strings.Builder
 	b.WriteString("Ablations on SS (SC-affine), FW (BDI-affine), NW (latency-critical):\n\n")
 	names := ablationWorkloads

@@ -19,6 +19,7 @@ import (
 	"lattecc/internal/policy"
 	"lattecc/internal/sim"
 	"lattecc/internal/trace"
+	"lattecc/internal/tracefile"
 	"lattecc/internal/workload"
 )
 
@@ -201,45 +202,48 @@ func Policies() []Policy {
 	}
 }
 
-// factory builds the controller factory and the cache codec override for
-// a policy. The returned highCap codec constructor replaces the HighCap
-// slot when non-nil (Static-BPC and the BDI+BPC LATTE variant).
-func factoryFor(p Policy, schedule []modes.Mode) (sim.ControllerFactory, func() compress.Codec, error) {
+// factoryFor resolves policy p to its controller factory and installs
+// the policy's HighCap codec override in cfg (Static-BPC and the BDI+BPC
+// LATTE variant swap SC for BPC) — the one place a policy becomes
+// simulator wiring, shared by simulations and trace replays.
+func factoryFor(cfg *sim.Config, p Policy, schedule []modes.Mode) (sim.ControllerFactory, error) {
 	switch p {
 	case Uncompressed:
 		return func(int) modes.Controller {
 			return policy.NewStatic(modes.None, string(Uncompressed), latteEPLen, lattePeriod)
-		}, nil, nil
+		}, nil
 	case StaticBDI:
 		return func(int) modes.Controller {
 			return policy.NewStatic(modes.LowLat, string(StaticBDI), latteEPLen, lattePeriod)
-		}, nil, nil
+		}, nil
 	case StaticSC:
 		return func(int) modes.Controller {
 			return policy.NewStatic(modes.HighCap, string(StaticSC), latteEPLen, lattePeriod)
-		}, nil, nil
+		}, nil
 	case StaticBPC:
+		cfg.Cache.Codecs[modes.HighCap] = compress.NewBPC()
 		return func(int) modes.Controller {
 			return policy.NewStatic(modes.HighCap, string(StaticBPC), latteEPLen, lattePeriod)
-		}, func() compress.Codec { return compress.NewBPC() }, nil
+		}, nil
 	case LatteCC:
-		return func(n int) modes.Controller { return core.New(core.DefaultConfig(n)) }, nil, nil
+		return func(n int) modes.Controller { return core.New(core.DefaultConfig(n)) }, nil
 	case LatteBDIBPC:
+		cfg.Cache.Codecs[modes.HighCap] = compress.NewBPC()
 		return func(n int) modes.Controller {
-			cfg := core.DefaultConfig(n)
-			cfg.DecompLatency[modes.HighCap] = uint64(compress.NewBPC().DecompLatency())
-			return core.New(cfg)
-		}, func() compress.Codec { return compress.NewBPC() }, nil
+			c := core.DefaultConfig(n)
+			c.DecompLatency[modes.HighCap] = uint64(compress.NewBPC().DecompLatency())
+			return core.New(c)
+		}, nil
 	case AdaptiveHits:
-		return func(n int) modes.Controller { return policy.NewAdaptiveHitCount(n) }, nil, nil
+		return func(n int) modes.Controller { return policy.NewAdaptiveHitCount(n) }, nil
 	case AdaptiveCMP:
-		return func(n int) modes.Controller { return policy.NewAdaptiveCMP(n) }, nil, nil
+		return func(n int) modes.Controller { return policy.NewAdaptiveCMP(n) }, nil
 	case KernelOpt:
 		return func(int) modes.Controller {
 			return policy.NewScheduled(string(KernelOpt), schedule, latteEPLen, lattePeriod)
-		}, nil, nil
+		}, nil
 	default:
-		return nil, nil, fmt.Errorf("harness: unknown policy %q", p)
+		return nil, fmt.Errorf("harness: unknown policy %q", p)
 	}
 }
 
@@ -343,11 +347,6 @@ func (s *Suite) simulate(workloadName string, p Policy, v Variant) (res sim.Resu
 		}
 	}
 
-	factory, highCap, err := factoryFor(p, schedule)
-	if err != nil {
-		return sim.Result{}, err
-	}
-
 	cfg := s.cfg
 	cfg.Cache.CapacityOnly = v.CapacityOnly
 	cfg.Cache.LatencyOnly = v.LatencyOnly
@@ -355,17 +354,23 @@ func (s *Suite) simulate(workloadName string, p Policy, v Variant) (res sim.Resu
 	if v.SampleSeries {
 		cfg.SampleEvery = 512
 	}
-	if highCap != nil {
-		cfg.Cache.Codecs[modes.HighCap] = highCap()
-	}
+	return simulateOn(cfg, w, p, schedule)
+}
 
-	res = sim.New(cfg, w, factory).Run()
+// simulateOn runs w under p on cfg, uncached; schedule is Kernel-OPT's
+// per-kernel mode list (nil for every other policy).
+func simulateOn(cfg sim.Config, w trace.Workload, p Policy, schedule []modes.Mode) (sim.Result, error) {
+	factory, err := factoryFor(&cfg, p, schedule)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	res := sim.New(cfg, w, factory).Run()
 	res.Policy = string(p)
 	return res, nil
 }
 
-// MustRun is Run, panicking on error (experiment code paths where the
-// workload/policy names are compile-time constants).
+// MustRun is Run, panicking on error (tests, where the workload/policy
+// names are compile-time constants).
 func (s *Suite) MustRun(workloadName string, p Policy, v Variant) sim.Result {
 	res, err := s.Run(workloadName, p, v)
 	if err != nil {
@@ -374,10 +379,16 @@ func (s *Suite) MustRun(workloadName string, p Policy, v Variant) sim.Result {
 	return res
 }
 
-// kernelOptSchedule builds the oracle per-kernel schedule: run the
-// workload once per static mode, then pick, for every kernel, the mode
-// with the fewest cycles (Section V-B).
+// kernelOptSchedule is oracleSchedule over the suite's cached static
+// runs of the workload under variant v.
 func (s *Suite) kernelOptSchedule(workloadName string, v Variant) ([]modes.Mode, error) {
+	return oracleSchedule(func(p Policy) (sim.Result, error) { return s.Run(workloadName, p, v) })
+}
+
+// oracleSchedule builds the Kernel-OPT per-kernel schedule: run the
+// workload once per static mode through run, then pick, for every
+// kernel, the mode with the fewest cycles (Section V-B).
+func oracleSchedule(run func(Policy) (sim.Result, error)) ([]modes.Mode, error) {
 	statics := []struct {
 		p Policy
 		m modes.Mode
@@ -388,7 +399,7 @@ func (s *Suite) kernelOptSchedule(workloadName string, v Variant) ([]modes.Mode,
 	}
 	var runs []sim.Result
 	for _, st := range statics {
-		r, err := s.Run(workloadName, st.p, v)
+		r, err := run(st.p)
 		if err != nil {
 			return nil, err
 		}
@@ -456,45 +467,33 @@ func RunWorkload(cfg sim.Config, w trace.Workload, p Policy) (res sim.Result, er
 	defer recoverSim(&err)
 	var schedule []modes.Mode
 	if p == KernelOpt {
-		statics := []struct {
-			pol Policy
-			m   modes.Mode
-		}{{Uncompressed, modes.None}, {StaticBDI, modes.LowLat}, {StaticSC, modes.HighCap}}
-		var runs []sim.Result
-		for _, st := range statics {
-			f, hc, err := factoryFor(st.pol, nil)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			c := cfg
-			if hc != nil {
-				c.Cache.Codecs[modes.HighCap] = hc()
-			}
-			runs = append(runs, sim.New(c, w, f).Run())
-		}
-		nk := len(runs[0].Kernels)
-		for ki := 0; ki < nk; ki++ {
-			best := modes.None
-			bestCycles := ^uint64(0)
-			for si, st := range statics {
-				if ki < len(runs[si].Kernels) && runs[si].Kernels[ki].Cycles < bestCycles {
-					bestCycles = runs[si].Kernels[ki].Cycles
-					best = st.m
-				}
-			}
-			schedule = append(schedule, best)
+		schedule, err = oracleSchedule(func(st Policy) (sim.Result, error) { return simulateOn(cfg, w, st, nil) })
+		if err != nil {
+			return sim.Result{}, err
 		}
 	}
-	factory, highCap, err := factoryFor(p, schedule)
+	return simulateOn(cfg, w, p, schedule)
+}
+
+// ReplayTrace replays a recorded L1 access trace through cfg's
+// compressed cache alone under policy p, with the controllers and codec
+// override a full simulation of p would use; the trace's workload
+// supplies the fill data. Kernel-OPT is an error: its schedule comes
+// from full simulations, which a trace cannot stand in for.
+func ReplayTrace(r *tracefile.Reader, cfg sim.Config, p Policy) (rep tracefile.ReplayResult, err error) {
+	defer recoverSim(&err)
+	if p == KernelOpt {
+		return tracefile.ReplayResult{}, fmt.Errorf("harness: %s needs full simulations and cannot replay a trace", p)
+	}
+	w, err := workload.ByName(r.Workload())
 	if err != nil {
-		return sim.Result{}, err
+		return tracefile.ReplayResult{}, fmt.Errorf("harness: trace recorded from unknown workload: %w", err)
 	}
-	if highCap != nil {
-		cfg.Cache.Codecs[modes.HighCap] = highCap()
+	factory, err := factoryFor(&cfg, p, nil)
+	if err != nil {
+		return tracefile.ReplayResult{}, err
 	}
-	res = sim.New(cfg, w, factory).Run()
-	res.Policy = string(p)
-	return res, nil
+	return tracefile.Replay(r, cfg.Cache, factory, w.Data(), string(p))
 }
 
 // Workloads lists all benchmark names in figure order.

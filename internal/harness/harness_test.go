@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -162,11 +163,20 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// runExperiment renders the experiment with the given id on s.
+func runExperiment(s *Suite, id string) (string, error) {
+	e, ok := ExperimentByID(id)
+	if !ok {
+		return "", fmt.Errorf("no experiment %q", id)
+	}
+	return e.Run(s)
+}
+
 func TestOfflineExperimentsRender(t *testing.T) {
 	// tab1/tab2/tab3/fig2 need no (or almost no) simulation; they must
 	// render non-empty tables with a row per workload / codec.
 	s := NewSuite(quickConfig())
-	out, err := Tab1(s)
+	out, err := runExperiment(s, "tab1")
 	if err != nil {
 		t.Fatalf("tab1: %v", err)
 	}
@@ -175,7 +185,7 @@ func TestOfflineExperimentsRender(t *testing.T) {
 			t.Fatalf("tab1 missing %s:\n%s", name, out)
 		}
 	}
-	out, err = Fig2(s)
+	out, err = runExperiment(s, "fig2")
 	if err != nil {
 		t.Fatalf("fig2: %v", err)
 	}
@@ -184,10 +194,10 @@ func TestOfflineExperimentsRender(t *testing.T) {
 			t.Fatalf("fig2 missing %s", w)
 		}
 	}
-	if out, err = Tab2(s); err != nil || !strings.Contains(out, "GTO") {
+	if out, err = runExperiment(s, "tab2"); err != nil || !strings.Contains(out, "GTO") {
 		t.Fatalf("tab2 must state the scheduler (err %v)", err)
 	}
-	if out, err = Tab3(s); err != nil || !strings.Contains(out, "C-Sens") {
+	if out, err = runExperiment(s, "tab3"); err != nil || !strings.Contains(out, "C-Sens") {
 		t.Fatalf("tab3 must show categories (err %v)", err)
 	}
 }
@@ -197,7 +207,7 @@ func TestFig2ShowsAffinityContrast(t *testing.T) {
 	// floats) compresses far better under SC than BDI; FW (stride ints)
 	// the other way.
 	lines := map[string][]string{}
-	fig2, err := Fig2(NewSuite(quickConfig()))
+	fig2, err := runExperiment(NewSuite(quickConfig()), "fig2")
 	if err != nil {
 		t.Fatalf("fig2: %v", err)
 	}
@@ -367,5 +377,66 @@ func TestEveryExperimentRendersOnTinyMachine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// tinyConfig is the CI golden-gate machine: 2 SMs, 120k-instruction cap.
+func tinyConfig() sim.Config {
+	cfg := quickConfig()
+	cfg.MaxInstructions = 120_000
+	return cfg
+}
+
+func TestExperimentsReturnErrorsOnFailedRuns(t *testing.T) {
+	// A config that fails sim.Config.Validate makes every simulation
+	// fail. Every simulation-backed experiment must report that as an
+	// error from both Run and Table — Experiment.Run promises errors,
+	// never a panic. The offline tables never simulate.
+	offline := map[string]bool{"tab1": true, "fig2": true, "tab2": true, "tab3": true}
+	cfg := tinyConfig()
+	cfg.MSHRs = 0
+	s := NewSuite(cfg)
+	for _, e := range Experiments() {
+		if offline[e.ID] {
+			continue
+		}
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s panicked: %v", e.ID, r)
+				}
+			}()
+			if _, err := e.Run(s); err == nil {
+				t.Errorf("%s: Run succeeded on an invalid config", e.ID)
+			}
+			if e.Table != nil {
+				if _, err := e.Table(s); err == nil {
+					t.Errorf("%s: Table succeeded on an invalid config", e.ID)
+				}
+			}
+		})
+	}
+}
+
+func TestRunWorkloadMatchesSuiteKernelOpt(t *testing.T) {
+	// RunWorkload and Suite.Run build the Kernel-OPT schedule through
+	// the same pick; on the multi-kernel MKS, where the per-kernel
+	// choice matters, both paths must land on the same state.
+	cfg := tinyConfig()
+	w, err := workload.ByName("MKS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := RunWorkload(cfg, w, KernelOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := NewSuite(cfg).Run("MKS", KernelOpt, Variant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.StateHash() != cached.StateHash() {
+		t.Fatalf("RunWorkload StateHash %#x != Suite.Run %#x", direct.StateHash(), cached.StateHash())
 	}
 }

@@ -51,7 +51,7 @@ type Policy = harness.Policy
 type Variant = harness.Variant
 
 // Suite runs and caches simulations for one GPU configuration; the
-// experiment functions (Fig1..Fig18, Tab1..Tab3) operate on it.
+// paper's experiments (see Experiments) render from it.
 type Suite = harness.Suite
 
 // The policies evaluated in the paper.
@@ -202,6 +202,13 @@ func NewTraceWriter(w io.Writer, workloadName string) (*TraceWriter, error) {
 
 // NewTraceReader opens a recorded trace.
 func NewTraceReader(r io.Reader) (*TraceReader, error) { return tracefile.NewReader(r) }
+
+// ReplayTrace replays a recorded trace through cfg's L1 alone under
+// policy p, wired exactly as a full simulation of p would be. Kernel-OPT
+// is not replayable: its schedule needs full simulations.
+func ReplayTrace(r *TraceReader, cfg Config, p Policy) (ReplayResult, error) {
+	return harness.ReplayTrace(r, cfg, p)
+}
 
 // RegisterWorkload adds a workload to the global registry so it shows up
 // in Workloads(), Run, the experiment suite, and the daemon. Startup-only:
