@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"lattecc/internal/cache"
 	"lattecc/internal/compress"
@@ -59,14 +60,23 @@ func (c *scriptedController) RecordTolerance(tol float64)  {}
 func DiffCodecs(seed int64, n int) *Divergence {
 	rng := rand.New(rand.NewSource(seed))
 	sc := compress.NewSC()
-	stateless := []struct {
+	data := func(ref func([]byte) ([]byte, error)) func(compress.Encoded) ([]byte, error) {
+		return func(enc compress.Encoded) ([]byte, error) { return ref(enc.Data) }
+	}
+	codecs := []struct {
 		codec compress.Codec
-		ref   func([]byte) ([]byte, error)
+		ref   func(compress.Encoded) ([]byte, error)
 	}{
-		{compress.NewBDI(), RefDecodeBDI},
-		{compress.NewFPC(), RefDecodeFPC},
-		{compress.NewCPACK(), RefDecodeCPACK},
-		{compress.NewBPC(), RefDecodeBPC},
+		{compress.NewBDI(), data(RefDecodeBDI)},
+		{compress.NewFPC(), data(RefDecodeFPC)},
+		{compress.NewCPACK(), data(RefDecodeCPACK)},
+		{compress.NewBPC(), data(RefDecodeBPC)},
+		{sc, func(enc compress.Encoded) ([]byte, error) {
+			if enc.Raw { // a raw SC encoding is the verbatim line
+				return enc.Data, nil
+			}
+			return RefDecodeSC(enc.Data, sc.CodeBook())
+		}},
 	}
 
 	for step := 0; step < n; step++ {
@@ -75,50 +85,23 @@ func DiffCodecs(seed int64, n int) *Divergence {
 		if step%37 == 36 {
 			sc.Rebuild()
 		}
-
-		for _, s := range stateless {
-			name := "codec:" + s.codec.Name()
-			enc := s.codec.Compress(line)
+		for _, c := range codecs {
+			name := "codec:" + c.codec.Name()
+			enc := c.codec.Compress(line)
 			if enc.Size <= 0 || enc.Size > compress.LineSize {
 				return diverge(name, seed, step, "compressed size %d outside (0, %d]", enc.Size, compress.LineSize)
 			}
-			dec, err := s.codec.Decompress(enc)
+			if c.codec == sc && enc.Generation != sc.Generation() {
+				return diverge(name, seed, step, "encoding tagged generation %d, codec at %d", enc.Generation, sc.Generation())
+			}
+			dec, err := c.codec.Decompress(enc)
 			if err != nil {
 				return diverge(name, seed, step, "optimized round trip failed: %v", err)
 			}
 			if !bytes.Equal(dec, line) {
 				return diverge(name, seed, step, "optimized round trip changed bytes at offset %d", firstDiff(dec, line))
 			}
-			ref, err := s.ref(enc.Data)
-			if err != nil {
-				return diverge(name, seed, step, "reference decoder rejected encoding: %v", err)
-			}
-			if !bytes.Equal(ref, line) {
-				return diverge(name, seed, step, "reference decode disagrees at offset %d", firstDiff(ref, line))
-			}
-		}
-
-		name := "codec:" + sc.Name()
-		enc := sc.Compress(line)
-		if enc.Size <= 0 || enc.Size > compress.LineSize {
-			return diverge(name, seed, step, "compressed size %d outside (0, %d]", enc.Size, compress.LineSize)
-		}
-		if enc.Generation != sc.Generation() {
-			return diverge(name, seed, step, "encoding tagged generation %d, codec at %d", enc.Generation, sc.Generation())
-		}
-		dec, err := sc.Decompress(enc)
-		if err != nil {
-			return diverge(name, seed, step, "optimized round trip failed: %v", err)
-		}
-		if !bytes.Equal(dec, line) {
-			return diverge(name, seed, step, "optimized round trip changed bytes at offset %d", firstDiff(dec, line))
-		}
-		if enc.Raw {
-			if !bytes.Equal(enc.Data, line) {
-				return diverge(name, seed, step, "raw SC encoding is not the verbatim line")
-			}
-		} else {
-			ref, err := RefDecodeSC(enc.Data, sc.CodeBook())
+			ref, err := c.ref(enc)
 			if err != nil {
 				return diverge(name, seed, step, "reference decoder rejected encoding: %v", err)
 			}
@@ -132,11 +115,8 @@ func DiffCodecs(seed int64, n int) *Divergence {
 
 // firstDiff returns the first differing byte offset (or -1).
 func firstDiff(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
+	n := min(len(a), len(b))
+	for i := range n {
 		if a[i] != b[i] {
 			return i
 		}
@@ -287,18 +267,7 @@ func DiffCache(seed int64, ops int) *Divergence {
 }
 
 // opName labels a cache script op for divergence messages.
-func opName(kind int) string {
-	switch kind {
-	case 0:
-		return "access"
-	case 1:
-		return "fill"
-	case 2:
-		return "write-touch"
-	default:
-		return "flush"
-	}
-}
+func opName(kind int) string { return [...]string{"access", "fill", "write-touch", "flush"}[kind] }
 
 // diffSetViews compares two set snapshots field by field, returning ""
 // when identical.
@@ -318,88 +287,129 @@ func diffSetViews(a, b cache.SetView) string {
 	return ""
 }
 
-// optSched replays the SM's scheduler accounting (sm.schedule) around the
-// optimized PickWarp, with every pick assumed to issue.
-type optSched struct {
-	kind     sim.SchedulerKind
-	lastWarp int
-	readySum uint64
-	issues   uint64
-	switches uint64
-}
-
-func (o *optSched) step(cands []sim.WarpCandidate) (int, bool) {
-	ready := 0
-	for _, c := range cands {
-		if c.Ready {
-			ready++
-		}
-	}
-	if ready > 0 {
-		o.readySum += uint64(ready - 1)
-	}
-	idx, ok := sim.PickWarp(o.kind, o.lastWarp, cands)
-	if !ok {
-		return -1, false
-	}
-	id := cands[idx].ID
-	if id != o.lastWarp {
-		o.switches++
-		o.lastWarp = id
-	}
-	o.issues++
-	return id, true
-}
-
-// DiffSchedulers single-steps the optimized warp selection against the
-// reference scheduler for both policies over steps cycles of randomized
-// ready masks, warp retirement, and warp launch, comparing the issued
-// warp and every Equation 4 accumulator each cycle.
+// DiffSchedulers drives the production sim.WarpScheduler in lockstep
+// with RefScheduler for both policies over steps cycles of seeded
+// events: launch, issue with a drawn latency, block and unblock, retire,
+// compaction and fast-forward jumps. Each cycle it compares the pick,
+// the Equation 4 accumulators, and NextWake against the earliest
+// wake-up. The reference side keeps each warp's state in plain fields
+// and rebuilds the list of ready warps every cycle. Capacities up to 160
+// warps give multi-word sets, and latencies straddle the 64-cycle wake
+// wheel, so wrap-around and far wake-ups are covered.
 func DiffSchedulers(seed int64, steps int) *Divergence {
+	type refWarp struct {
+		id              int
+		nextFree        uint64
+		parked, retired bool
+	}
 	for _, kind := range []sim.SchedulerKind{sim.SchedGTO, sim.SchedRR} {
-		name := "sched:GTO"
-		if kind == sim.SchedRR {
-			name = "sched:RR"
-		}
+		name := map[sim.SchedulerKind]string{sim.SchedGTO: "sched:GTO", sim.SchedRR: "sched:RR"}[kind]
 		rng := rand.New(rand.NewSource(seed))
-		opt := &optSched{kind: kind, lastWarp: -1}
-		ref := NewRefScheduler(kind)
-
-		ids := []int{}
-		nextID := 0
-		for len(ids) < 6 {
-			ids = append(ids, nextID)
-			nextID++
+		maxWarps := 1 + rng.Intn(160)
+		opt, ref := sim.NewWarpScheduler(kind, maxWarps), NewRefScheduler(kind)
+		var warps []refWarp // by position, as in opt
+		now, nextID := uint64(0), 0
+		wake := func(p int, t uint64) {
+			warps[p].parked, warps[p].nextFree = false, t
+			opt.Wake(p, t, now)
 		}
-		cands := make([]sim.WarpCandidate, 0, 16)
-		for step := 0; step < steps; step++ {
-			// Retire or launch warps occasionally; ids stay sorted because
-			// new warps always take the next id (launch order).
-			if len(ids) > 1 && rng.Intn(10) == 0 {
-				drop := rng.Intn(len(ids))
-				ids = append(ids[:drop], ids[drop+1:]...)
+		park := func(p int, retire bool) {
+			warps[p].parked, warps[p].retired = true, retire
+			opt.Park(p)
+		}
+		latency := func() uint64 { // short, within the wheel span, at its edge, or far
+			switch rng.Intn(4) {
+			case 0:
+				return 1 + uint64(rng.Intn(4))
+			case 1:
+				return 1 + uint64(rng.Intn(63))
+			case 2:
+				return 62 + uint64(rng.Intn(5))
 			}
-			if len(ids) < 12 && rng.Intn(10) == 0 {
-				ids = append(ids, nextID)
+			return 64 + uint64(rng.Intn(400))
+		}
+		parked := func() int { // a random parked live warp, or -1
+			p, seen := -1, 0
+			for i, w := range warps {
+				if w.parked && !w.retired {
+					if seen++; rng.Intn(seen) == 0 {
+						p = i
+					}
+				}
+			}
+			return p
+		}
+		ready := make([]int, 0, maxWarps)
+		for step := -rng.Intn(maxWarps + 1); step < steps; step++ {
+			// Between cycles: launches (a burst before step 0) and compaction.
+			if len(warps) < maxWarps && (step < 0 || rng.Intn(4) == 0) {
+				warps = append(warps, refWarp{id: nextID})
 				nextID++
+				opt.Add()
 			}
-			cands = cands[:0]
-			for _, id := range ids {
-				cands = append(cands, sim.WarpCandidate{ID: id, Ready: rng.Intn(3) > 0})
+			if step < 0 {
+				continue
 			}
-
-			oid, ook := opt.step(cands)
-			rid, rok := ref.Step(cands)
+			if rng.Intn(16) == 0 {
+				opt.Compact(func(p int) bool { return !warps[p].retired })
+				warps = slices.DeleteFunc(warps, func(w refWarp) bool { return w.retired })
+			}
+			// LSU drain, before the pick: may wake a warp at exactly
+			// now+64, in the bucket this cycle's Step drains.
+			if p := parked(); p >= 0 && rng.Intn(3) == 0 {
+				wake(p, now+1+uint64(rng.Intn(65)))
+			}
+			ready = ready[:0]
+			for _, w := range warps {
+				if !w.parked && w.nextFree <= now {
+					ready = append(ready, w.id)
+				}
+			}
+			pos, ook := opt.Step(now)
+			rid, rok := ref.Step(ready)
+			oid := -1
+			if ook {
+				oid = warps[pos].id
+			}
 			if ook != rok || oid != rid {
-				return diverge(name, seed, step, "pick: optimized (%d, %v), reference (%d, %v) with cands %+v",
-					oid, ook, rid, rok, cands)
+				return diverge(name, seed, step, "pick at cycle %d: optimized (%d, %v), reference (%d, %v) with ready warps %v",
+					now, oid, ook, rid, rok, ready)
 			}
-			if opt.lastWarp != ref.LastWarp || opt.switches != ref.Switches ||
-				opt.issues != ref.Issues || opt.readySum != ref.ReadySum {
-				return diverge(name, seed, step,
-					"accounting: optimized last=%d sw=%d iss=%d rdy=%d, reference last=%d sw=%d iss=%d rdy=%d",
-					opt.lastWarp, opt.switches, opt.issues, opt.readySum,
-					ref.LastWarp, ref.Switches, ref.Issues, ref.ReadySum)
+			if opt.Switches != ref.Switches || opt.ReadySum != ref.ReadySum {
+				return diverge(name, seed, step, "accounting: optimized sw=%d rdy=%d, reference sw=%d rdy=%d",
+					opt.Switches, opt.ReadySum, ref.Switches, ref.ReadySum)
+			}
+			// The pick issues an ALU op, blocks (load or barrier), or retires.
+			if r := rng.Intn(10); ook && r < 6 {
+				wake(pos, now+latency())
+			} else if ook {
+				park(pos, r == 9)
+			}
+			// Commit: fills and barrier releases wake parked warps; a
+			// forced finish retires a warp in any state.
+			for k := rng.Intn(3); k > 0; k-- {
+				if p := parked(); p >= 0 && rng.Intn(4) == 0 {
+					wake(p, uint64(rng.Int63n(int64(now)+1)))
+				} else if p >= 0 {
+					wake(p, now+latency())
+				}
+			}
+			if p := rng.Intn(len(warps) + 1); rng.Intn(20) == 0 && p < len(warps) && !warps[p].retired {
+				park(p, true)
+			}
+			// Next cycle, or a jump no further than NextWake, which must
+			// not pass a wake-up.
+			now++
+			want := ^uint64(0)
+			for _, w := range warps {
+				if !w.parked {
+					want = min(want, max(w.nextFree, now))
+				}
+			}
+			if got := opt.NextWake(now); got > want {
+				return diverge(name, seed, step, "NextWake(%d) = %d, but a warp wakes at %d", now, got, want)
+			} else if got > now && rng.Intn(3) == 0 {
+				now = min(got, now+uint64(rng.Intn(300)))
 			}
 		}
 	}

@@ -16,7 +16,7 @@
 //     optimized codecs in internal/compress.
 //   - RefScheduler: a single-stepped reference warp scheduler for GTO
 //     and RR that re-derives each pick from the policy's specification
-//     rather than internal/sim's single-pass scan.
+//     over the ready warps' ids, rather than internal/sim's ready bitsets.
 //
 // The references trade every optimization for obviousness: quadratic
 // walks, per-query recounts, linear code-book scans. They are test
@@ -26,8 +26,7 @@
 //
 // Entry points: DiffCodecs, DiffCache, DiffSchedulers, DiffAll. Each
 // takes a seed; a non-nil *Divergence pins the component, step and seed
-// so `go test -run TestReplaySeed -seed ...`-style reruns reproduce the
-// failure exactly.
+// so a TestReplayDivergence rerun reproduces the failure exactly.
 package oracle
 
 import (
@@ -133,9 +132,4 @@ func putLE32(line []byte, i int, v uint32) {
 	line[i*4+1] = byte(v >> 8)
 	line[i*4+2] = byte(v >> 16)
 	line[i*4+3] = byte(v >> 24)
-}
-
-// le32 reads word i of a line.
-func le32(line []byte, i int) uint32 {
-	return uint32(line[i*4]) | uint32(line[i*4+1])<<8 | uint32(line[i*4+2])<<16 | uint32(line[i*4+3])<<24
 }

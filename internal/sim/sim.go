@@ -257,7 +257,7 @@ func (s *Sim) Run() Result {
 			}
 			if totalInsts >= s.cfg.MaxInstructions {
 				for _, m := range s.sms {
-					m.forceFinish()
+					m.forceFinish(now)
 				}
 				budgetExhausted = true
 				break
@@ -278,8 +278,8 @@ func (s *Sim) Run() Result {
 			// dispatcher (block slots only free on a retire, which needs
 			// a ready warp). Jumping `now` there is therefore invisible
 			// to every counter, the trace stream, and StateHash; it only
-			// removes the empty scheduler scans that dominate memory-
-			// bound stall phases.
+			// removes the empty cycles that dominate memory-bound stall
+			// phases.
 			if next := s.nextInterestingCycle(now); next > now {
 				now = next
 			}
@@ -336,7 +336,7 @@ func (s *Sim) Run() Result {
 func (s *Sim) nextInterestingCycle(now uint64) uint64 {
 	next := ^uint64(0)
 	for _, m := range s.sms {
-		e := m.nextEvent()
+		e := m.nextEvent(now)
 		if e <= now {
 			return now
 		}

@@ -9,6 +9,7 @@ import (
 	"lattecc/internal/modes"
 	"lattecc/internal/policy"
 	"lattecc/internal/trace"
+	"lattecc/internal/workload"
 )
 
 // testData backs lines with BDI-friendly stride data.
@@ -519,5 +520,22 @@ func TestWriteThroughConfigRuns(t *testing.T) {
 	res := run(t, cfg, storeWorkload{}, baselineFactory)
 	if res.StoreTxns == 0 {
 		t.Fatal("stores must flow under write-through too")
+	}
+}
+
+// BenchmarkTable2Round runs one round of the table2-sim benchmark
+// workload: SS and FW under Uncompressed and LATTE-CC on the Table II
+// machine. PERF.md's per-layer attribution profiles it.
+func BenchmarkTable2Round(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, name := range []string{"SS", "FW"} {
+			for _, f := range []ControllerFactory{baselineFactory, latteFactory} {
+				w, err := workload.ByName(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				New(DefaultConfig(), w, f).Run()
+			}
+		}
 	}
 }

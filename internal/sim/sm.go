@@ -1,88 +1,35 @@
 package sim
 
 import (
+	"slices"
+
 	"lattecc/internal/cache"
+	"lattecc/internal/invariant"
 	"lattecc/internal/mem"
 	"lattecc/internal/modes"
 	"lattecc/internal/trace"
 )
 
-// Warp blocking flags. The scheduler scan is the hottest loop in the
-// simulator, so the three blocking conditions share one byte next to
-// nextFree: readiness is a single flags==0 test plus a time compare.
+// Warp blocking flags; a warp is schedulable when flags == 0.
 const (
 	wDone       uint8 = 1 << iota // retired
 	wBlockedMem                   // waiting for an in-flight memory request
 	wAtBarrier                    // waiting for the rest of its thread block
 )
 
-// warp is one resident warp's execution state.
+// warp is one resident warp's execution state. Its issue time lives in
+// its scheduler's WarpScheduler, at position pos.
 type warp struct {
 	id        int
 	sched     int // owning scheduler
+	pos       int // position in schedWarps[sched]
 	blockSlot int
 	prog      trace.Program
 	cur       trace.Inst
 	hasCur    bool
 
-	nextFree uint64 // cycle at which the warp may issue again
-	flags    uint8  // wDone | wBlockedMem | wAtBarrier; 0 = schedulable
-	insts    uint64
-}
-
-// ready reports whether the warp can issue at cycle now.
-func (w *warp) ready(now uint64) bool {
-	return w.flags == 0 && w.nextFree <= now
-}
-
-// wake lowers scheduler si's sleep bound: one of its warps may become
-// ready at cycle `at`, so schedule must scan again no later than that.
-func (s *sm) wake(si int, at uint64) {
-	if at < s.scheds[si].nextWake {
-		s.scheds[si].nextWake = at
-	}
-}
-
-// activeInsert adds a newly schedulable warp (flags just cleared) to its
-// scheduler's active list, keeping warp-id order. Warp ids only grow, so
-// schedWarps is id-ordered and the active list mirrors that.
-func (s *sm) activeInsert(w *warp) {
-	ws := s.schedActive[w.sched]
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ws[mid].id < w.id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	ws = append(ws, nil)
-	copy(ws[lo+1:], ws[lo:])
-	ws[lo] = w
-	s.schedActive[w.sched] = ws
-}
-
-// activeRemove drops a warp that just blocked (or retired) from its
-// scheduler's active list. Tolerates absence: forceFinish retires warps
-// that are already blocked and therefore already off the list.
-func (s *sm) activeRemove(w *warp) {
-	ws := s.schedActive[w.sched]
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ws[mid].id < w.id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(ws) || ws[lo] != w {
-		return
-	}
-	copy(ws[lo:], ws[lo+1:])
-	ws[len(ws)-1] = nil
-	s.schedActive[w.sched] = ws[:len(ws)-1]
+	flags uint8 // wDone | wBlockedMem | wAtBarrier; 0 = schedulable
+	insts uint64
 }
 
 // memReqAddrCap bounds the inline address buffer: a warp has 32 threads,
@@ -185,26 +132,7 @@ type blockSlot struct {
 	active    bool
 	remaining int // warps not yet done
 	atBarrier int // warps currently waiting at the block barrier
-}
-
-// schedState is one warp scheduler's GTO and tolerance-probe state.
-type schedState struct {
-	lastWarp int // id of the last issued warp (-1 initially)
-
-	// nextWake is a lower bound on the next cycle any of this scheduler's
-	// warps can be ready. When a scan finds zero ready warps it records
-	// the earliest nextFree among unblocked warps here, and schedule
-	// skips the scan entirely until that cycle; every event that can make
-	// a warp ready sooner (fill unblock, barrier release, block launch)
-	// lowers the bound through sm.wake. Purely a cache of what the scan
-	// would conclude, so skipping changes no observable behavior — the
-	// skipped cycles contribute nothing to readySum either way.
-	nextWake uint64
-
-	// Equation 4 accumulators over the tolerance window.
-	readySum uint64 // sum over cycles of (ready warps - 1 issuing), clamped at 0
-	issues   uint64
-	switches uint64
+	warps     []warp
 }
 
 // sm is one streaming multiprocessor. During the compute phase of a
@@ -212,27 +140,18 @@ type schedState struct {
 // and the read-only data source): memory traffic goes to the per-SM
 // port, never to the shared mem.System.
 type sm struct {
-	id     int
-	cfg    *Config
-	l1     *cache.Cache
-	ctrl   modes.Controller
-	port   *mem.Port
-	data   trace.DataSource
-	warps  []*warp
-	slots  []blockSlot
-	scheds []schedState
-	// schedWarps holds each scheduler's warps (same membership and order
-	// as the warps slice filtered by sched), so schedule scans only its
-	// own warps instead of skipping over every other scheduler's.
+	id    int
+	cfg   *Config
+	l1    *cache.Cache
+	ctrl  modes.Controller
+	port  *mem.Port
+	data  trace.DataSource
+	slots []blockSlot // resident blocks and their warps
+	// scheds holds each scheduler's ready state; schedWarps[si] maps its
+	// positions to its resident warps, in id order.
+	scheds     []WarpScheduler
 	schedWarps [][]*warp
-	// schedActive is the schedulable subset of schedWarps (flags == 0),
-	// kept in warp-id order — the same order a filtered scan of
-	// schedWarps produces, so PickWarp sees identical candidates. It is
-	// maintained incrementally at block/unblock transitions (at most one
-	// warp blocks per scheduler per cycle), which turns the per-cycle
-	// scheduler scan from O(resident warps) into O(schedulable warps).
-	schedActive [][]*warp
-	liveWarps   int
+	liveWarps  int
 
 	// lsu is the in-order load/store queue; lsuHead indexes the current
 	// front so dequeuing doesn't reslice away buffer capacity.
@@ -275,28 +194,23 @@ type sm struct {
 	// slices, so reuse is safe).
 	lineFill trace.LineFiller
 	lineBuf  []byte
-
-	// per-cycle scheduler scratch, reused to keep schedule allocation-free
-	candScratch []WarpCandidate
-	pickScratch []*warp
 }
 
 func newSM(id int, cfg *Config, ctrl modes.Controller, cacheCfg cache.Config, port *mem.Port, data trace.DataSource) *sm {
 	s := &sm{
-		id:          id,
-		cfg:         cfg,
-		ctrl:        ctrl,
-		port:        port,
-		data:        data,
-		l1:          cache.New(cacheCfg, ctrl),
-		slots:       make([]blockSlot, cfg.MaxBlocksPerSM),
-		scheds:      make([]schedState, cfg.SchedulersPerSM),
-		schedWarps:  make([][]*warp, cfg.SchedulersPerSM),
-		schedActive: make([][]*warp, cfg.SchedulersPerSM),
-		mshr:        make([]mshrEntry, 0, cfg.MSHRs),
+		id:         id,
+		cfg:        cfg,
+		ctrl:       ctrl,
+		port:       port,
+		data:       data,
+		l1:         cache.New(cacheCfg, ctrl),
+		slots:      make([]blockSlot, cfg.MaxBlocksPerSM),
+		scheds:     make([]WarpScheduler, cfg.SchedulersPerSM),
+		schedWarps: make([][]*warp, cfg.SchedulersPerSM),
+		mshr:       make([]mshrEntry, 0, cfg.MSHRs),
 	}
 	for i := range s.scheds {
-		s.scheds[i].lastWarp = -1
+		s.scheds[i] = *NewWarpScheduler(cfg.Scheduler, cfg.MaxWarpsPerSM)
 	}
 	if lf, ok := data.(trace.LineFiller); ok {
 		s.lineFill = lf
@@ -351,29 +265,19 @@ func (s *sm) newMemReq(w *warp, addrs []uint64, store bool) *memReq {
 	return r
 }
 
-// freeWarpSlots returns how many more warps the SM can host.
-func (s *sm) freeWarpSlots() int {
-	return s.cfg.MaxWarpsPerSM - len(s.warps)
-}
-
-// freeBlockSlot returns an inactive block slot index or -1.
-func (s *sm) freeBlockSlot() int {
-	for i := range s.slots {
-		if !s.slots[i].active {
-			return i
-		}
-	}
-	return -1
-}
-
-// launchBlock installs a block's warps onto the SM.
+// launchBlock installs a block's warps onto the SM if a block slot and
+// enough warp slots are free.
 func (s *sm) launchBlock(k trace.Kernel, block int) bool {
-	slot := s.freeBlockSlot()
-	if slot < 0 || s.freeWarpSlots() < k.WarpsPerBlock {
+	slot := slices.IndexFunc(s.slots, func(b blockSlot) bool { return !b.active })
+	free := s.cfg.MaxWarpsPerSM
+	for _, ws := range s.schedWarps {
+		free -= len(ws) // retired warps count until compactWarps drops them
+	}
+	if slot < 0 || free < k.WarpsPerBlock {
 		return false
 	}
-	s.slots[slot] = blockSlot{active: true, remaining: k.WarpsPerBlock}
 	ws := make([]warp, k.WarpsPerBlock)
+	s.slots[slot] = blockSlot{active: true, remaining: k.WarpsPerBlock, warps: ws}
 	for wi := range ws {
 		w := &ws[wi]
 		w.id = s.nextWarpID
@@ -381,38 +285,22 @@ func (s *sm) launchBlock(k trace.Kernel, block int) bool {
 		w.blockSlot = slot
 		w.prog = k.Program(block, wi)
 		s.nextWarpID++
-		s.warps = append(s.warps, w)
+		w.pos = s.scheds[w.sched].Add()
 		s.schedWarps[w.sched] = append(s.schedWarps[w.sched], w)
-		s.activeInsert(w)
-		s.wake(w.sched, 0) // fresh warps are ready immediately
 	}
 	s.liveWarps += k.WarpsPerBlock
 	return true
 }
 
-// compactWarps drops retired warps so the scheduler scan stays O(resident).
+// compactWarps drops retired warps from the schedulers, keeping id order.
 func (s *sm) compactWarps() {
-	live := s.warps[:0]
-	for _, w := range s.warps {
-		if w.flags&wDone == 0 {
-			live = append(live, w)
+	for si, ws := range s.schedWarps {
+		s.scheds[si].Compact(func(p int) bool { return ws[p].flags&wDone == 0 })
+		ws = slices.DeleteFunc(ws, func(w *warp) bool { return w.flags&wDone != 0 })
+		for p, w := range ws {
+			w.pos = p
 		}
-	}
-	for i := len(live); i < len(s.warps); i++ {
-		s.warps[i] = nil
-	}
-	s.warps = live
-	for si := range s.schedWarps {
-		lw := s.schedWarps[si][:0]
-		for _, w := range s.schedWarps[si] {
-			if w.flags&wDone == 0 {
-				lw = append(lw, w)
-			}
-		}
-		for i := len(lw); i < len(s.schedWarps[si]); i++ {
-			s.schedWarps[si][i] = nil
-		}
-		s.schedWarps[si] = lw
+		s.schedWarps[si] = ws
 	}
 }
 
@@ -422,16 +310,17 @@ func (s *sm) busy() bool {
 	return s.liveWarps > 0 || len(s.lsu) > s.lsuHead || len(s.fills) > 0
 }
 
-// nextEvent returns the earliest cycle at which this SM can do any work:
-// the next pending fill, the next cycle a schedulable warp becomes ready,
-// or the tolerance-window boundary (probeTolerance fires there and must
-// observe the same `now` as a cycle-by-cycle run). A queued LSU request
-// makes every cycle busy, so the method returns 0 in that case. Only
-// valid after commit, when pend/deferred are empty and every
-// blockedOnMem warp still has its request in the LSU queue — which is
-// what lets Sim.Run prove cycles up to the returned value are no-ops and
-// fast-forward across them without changing a single counter.
-func (s *sm) nextEvent() uint64 {
+// nextEvent returns the earliest cycle >= now at which this SM can do
+// any work: the next pending fill, a lower bound on the next warp
+// wake-up (WarpScheduler.NextWake), or the tolerance-window boundary
+// (probeTolerance fires there and must observe the same `now` as a
+// cycle-by-cycle run). A queued LSU request makes every cycle busy, so
+// the method returns 0 in that case. Only valid after commit, when
+// pend/deferred are empty and every blockedOnMem warp still has its
+// request in the LSU queue — which is what lets Sim.Run prove cycles up
+// to the returned value are no-ops and fast-forward across them without
+// changing a single counter.
+func (s *sm) nextEvent(now uint64) uint64 {
 	if s.lsuHead < len(s.lsu) {
 		return 0
 	}
@@ -439,13 +328,8 @@ func (s *sm) nextEvent() uint64 {
 	if len(s.fills) > 0 && s.fills[0].at < next {
 		next = s.fills[0].at
 	}
-	for _, w := range s.warps {
-		if w.flags != 0 {
-			continue
-		}
-		if w.nextFree < next {
-			next = w.nextFree
-		}
+	for si := range s.scheds {
+		next = min(next, s.scheds[si].NextWake(now))
 	}
 	return next
 }
@@ -485,13 +369,7 @@ func (s *sm) commit(now uint64) {
 	s.port.Reset()
 
 	for i, req := range s.deferred {
-		w := req.w
-		w.flags &^= wBlockedMem
-		w.nextFree = req.readyMax
-		if w.flags == 0 {
-			s.activeInsert(w)
-		}
-		s.wake(w.sched, req.readyMax)
+		s.unblock(req.w, req.readyMax, now)
 		s.releaseReq(req)
 		s.deferred[i] = nil
 	}
@@ -574,13 +452,7 @@ func (s *sm) drainLSU(now uint64) {
 				// Every transaction hit or merged into an already-resolved
 				// fill: the ready time is final. It is always > now, so
 				// unblocking here vs at commit cannot change scheduling.
-				w := req.w
-				w.flags &^= wBlockedMem
-				w.nextFree = req.readyMax
-				if w.flags == 0 {
-					s.activeInsert(w)
-				}
-				s.wake(w.sched, req.readyMax)
+				s.unblock(req.w, req.readyMax, now)
 				s.releaseReq(req)
 			default:
 				s.deferred = append(s.deferred, req)
@@ -655,65 +527,38 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 }
 
 // schedule runs each warp scheduler once (one issue per scheduler per
-// cycle, Table II: 2 schedulers per SM). The selection itself lives in
-// PickWarp so the differential oracle exercises the exact production
-// logic; this method only gathers candidates and does the accounting.
+// cycle, Table II: 2 schedulers per SM). Selection and the Equation 4
+// readiness accounting live in WarpScheduler, which the differential
+// oracle drives directly; this method issues the pick.
+//
+//lint:hotpath
 func (s *sm) schedule(now uint64) uint64 {
 	var issued uint64
+	paranoid := invariant.Active()
 	for si := range s.scheds {
 		st := &s.scheds[si]
-		if st.nextWake > now {
-			// Proven asleep: no warp of this scheduler can be ready
-			// before nextWake, so the scan below would find nothing.
-			continue
+		if paranoid {
+			st.advance(now)
+			st.verify(now, s.schedWarps[si])
 		}
-		ws := s.schedActive[si]
-		if len(ws) == 0 {
-			continue
-		}
-		// PickWarp ignores non-ready candidates entirely (first/greedy/
-		// round-robin are all computed over the ready subsequence), so
-		// feeding it only the ready warps picks the same warp while
-		// skipping the per-cycle candidate writes for blocked ones —
-		// the common case in memory-bound phases. The active list holds
-		// exactly the flags==0 warps in id order, so only the nextFree
-		// time gate remains to check.
-		cands := s.candScratch[:0]
-		picks := s.pickScratch[:0]
-		wake := ^uint64(0)
-		for _, w := range ws {
-			if w.nextFree <= now {
-				cands = append(cands, WarpCandidate{ID: w.id, Ready: true})
-				picks = append(picks, w)
-			} else if w.nextFree < wake {
-				wake = w.nextFree
-			}
-		}
-		s.candScratch = cands
-		s.pickScratch = picks
-		if len(cands) == 0 {
-			// Sleep until the earliest unblocked warp's nextFree; blocked
-			// warps wake the scheduler through sm.wake when they unblock.
-			st.nextWake = wake
-			continue
-		}
-		// Tolerance probe: ready warps on this scheduler.
-		st.readySum += uint64(len(cands) - 1)
-		idx, ok := PickWarp(s.cfg.Scheduler, st.lastWarp, cands)
+		p, ok := st.Step(now)
 		if !ok {
 			continue
 		}
-		pick := picks[idx]
-		if pick.id != st.lastWarp {
-			st.switches++
-			st.lastWarp = pick.id
-		}
-		if s.issue(pick, now) {
-			st.issues++
+		if s.issue(s.schedWarps[si][p], now) {
+			st.Issues++
 			issued++
 		}
 	}
 	return issued
+}
+
+// unblock ends a warp's memory wait: it may issue again at cycle at.
+func (s *sm) unblock(w *warp, at, now uint64) {
+	w.flags &^= wBlockedMem
+	if w.flags == 0 {
+		s.scheds[w.sched].Wake(w.pos, at, now)
+	}
 }
 
 // issue executes one instruction from the warp; it returns false when the
@@ -722,7 +567,7 @@ func (s *sm) issue(w *warp, now uint64) bool {
 	if !w.hasCur {
 		inst, ok := w.prog.Next()
 		if !ok {
-			s.retire(w)
+			s.retire(w, now)
 			return false
 		}
 		w.cur, w.hasCur = inst, true
@@ -732,31 +577,26 @@ func (s *sm) issue(w *warp, now uint64) bool {
 	w.insts++
 	s.instructions++
 
+	lat := uint64(1)
 	switch inst.Op {
 	case trace.OpALU:
-		lat := uint64(inst.Lat)
-		if lat == 0 {
-			lat = 1
-		}
-		w.nextFree = now + lat
+		lat = max(uint64(inst.Lat), 1)
 	case trace.OpLoad:
-		if len(inst.Addrs) == 0 {
-			w.nextFree = now + 1
+		if len(inst.Addrs) > 0 {
+			w.flags |= wBlockedMem
+			s.scheds[w.sched].Park(w.pos)
+			s.lsu = append(s.lsu, s.newMemReq(w, inst.Addrs, false))
 			return true
 		}
-		w.flags |= wBlockedMem
-		s.activeRemove(w)
-		s.lsu = append(s.lsu, s.newMemReq(w, inst.Addrs, false))
 	case trace.OpStore:
-		w.nextFree = now + 1
 		if len(inst.Addrs) > 0 {
 			s.lsu = append(s.lsu, s.newMemReq(w, inst.Addrs, true))
 		}
 	case trace.OpBarrier:
 		s.arriveBarrier(w, now)
-	default:
-		w.nextFree = now + 1
+		return true
 	}
+	s.scheds[w.sched].Wake(w.pos, now+lat, now)
 	return true
 }
 
@@ -765,33 +605,37 @@ func (s *sm) issue(w *warp, now uint64) bool {
 func (s *sm) arriveBarrier(w *warp, now uint64) {
 	slot := &s.slots[w.blockSlot]
 	w.flags |= wAtBarrier
-	s.activeRemove(w)
+	s.scheds[w.sched].Park(w.pos)
 	slot.atBarrier++
 	if slot.atBarrier < slot.remaining {
 		return
 	}
 	// Last arrival: release everyone next cycle.
-	slot.atBarrier = 0
-	for _, o := range s.warps {
-		if o.flags&(wDone|wAtBarrier) == wAtBarrier && o.blockSlot == w.blockSlot {
+	s.releaseBarrier(w.blockSlot, now+1, now)
+}
+
+// releaseBarrier lets every warp waiting at block slot's barrier issue
+// again from cycle at.
+func (s *sm) releaseBarrier(slot int, at, now uint64) {
+	s.slots[slot].atBarrier = 0
+	for i := range s.slots[slot].warps {
+		if o := &s.slots[slot].warps[i]; o.flags&(wDone|wAtBarrier) == wAtBarrier {
 			o.flags &^= wAtBarrier
-			o.nextFree = now + 1
 			if o.flags == 0 {
-				s.activeInsert(o)
+				s.scheds[o.sched].Wake(o.pos, at, now)
 			}
-			s.wake(o.sched, now+1)
 		}
 	}
 }
 
 // retire marks a warp finished and frees its block slot when the whole
 // block has drained.
-func (s *sm) retire(w *warp) {
+func (s *sm) retire(w *warp, now uint64) {
 	if w.flags&wDone != 0 {
 		return
 	}
 	w.flags |= wDone
-	s.activeRemove(w)
+	s.scheds[w.sched].Park(w.pos)
 	s.liveWarps--
 	slot := &s.slots[w.blockSlot]
 	slot.remaining--
@@ -803,31 +647,16 @@ func (s *sm) retire(w *warp) {
 	// A warp can retire while siblings wait at a barrier (divergent exit);
 	// if it was the last one missing, release the block.
 	if slot.atBarrier > 0 && slot.atBarrier >= slot.remaining {
-		slot.atBarrier = 0
-		for _, o := range s.warps {
-			if o.flags&(wDone|wAtBarrier) == wAtBarrier && o.blockSlot == w.blockSlot {
-				o.flags &^= wAtBarrier
-				o.nextFree = 0
-				if o.flags == 0 {
-					s.activeInsert(o)
-				}
-				s.wake(o.sched, 0)
-			}
-		}
+		s.releaseBarrier(w.blockSlot, 0, now)
 	}
 }
 
 // forceFinish terminates all warps (instruction budget exhausted). Run
 // calls it after commit, so pend and deferred are empty.
-func (s *sm) forceFinish() {
-	// retire may compact the warp lists when a block drains, so restart
-	// the scan after each retirement instead of ranging a stale header.
-	for s.liveWarps > 0 {
-		for _, w := range s.warps {
-			if w.flags&wDone == 0 {
-				s.retire(w)
-				break
-			}
+func (s *sm) forceFinish(now uint64) {
+	for i := range s.slots {
+		for j := range s.slots[i].warps {
+			s.retire(&s.slots[i].warps[j], now)
 		}
 	}
 	for i := s.lsuHead; i < len(s.lsu); i++ {
@@ -858,16 +687,16 @@ func (s *sm) probeTolerance(now uint64) {
 	var tol float64
 	for si := range s.scheds {
 		st := &s.scheds[si]
-		avgReady := float64(st.readySum) / window
+		avgReady := float64(st.ReadySum) / window
 		execPerSched := 1.0
-		if st.switches > 0 {
-			execPerSched = float64(st.issues) / float64(st.switches)
+		if st.Switches > 0 {
+			execPerSched = float64(st.Issues) / float64(st.Switches)
 		}
 		t := avgReady * execPerSched
 		if t > tol {
 			tol = t
 		}
-		st.readySum, st.issues, st.switches = 0, 0, 0
+		st.ReadySum, st.Issues, st.Switches = 0, 0, 0
 	}
 	if tol > s.cfg.ToleranceCap {
 		tol = s.cfg.ToleranceCap
