@@ -18,6 +18,7 @@
 //	GET  /v1/runs/{id}         job status and results
 //	GET  /v1/runs/{id}/events  SSE progress stream
 //	GET  /v1/results/{key}     raw result-store entry (cache-peer protocol)
+//	GET  /v1/load              queue/running/draining report the router probes
 //	GET  /metrics              Prometheus text format
 //	GET  /healthz, /readyz     probes (readyz answers 503 while draining)
 //
@@ -27,14 +28,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"lattecc/internal/resultstore"
@@ -136,52 +133,27 @@ func main() {
 			*storeDir, c.Entries, c.Bytes)
 	}
 	srv := server.New(srvCfg)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "latteccd: serving on %s (workers=%d queue=%d)\n", *addr, *workers, *queue)
 
 	// Cluster membership: announce this worker to the router and keep
 	// heartbeating. The router that is not up yet is retried forever —
 	// worker and router start order is deliberately free.
-	var registrar *server.Registrar
+	shutdown := srv.Shutdown
 	if *join != "" {
-		var err error
-		registrar, err = server.StartRegistrar(*join, adv, *heartbeat, func(format string, args ...any) {
+		registrar, err := server.StartRegistrar(*join, adv, *heartbeat, func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "latteccd: %v\n", err)
 			os.Exit(2)
 		}
+		shutdown = func(ctx context.Context) error {
+			// Deregister first so the router reroutes new jobs immediately
+			// instead of noticing the drain at its next health probe.
+			registrar.Stop(ctx)
+			return srv.Shutdown(ctx)
+		}
 	}
 
-	select {
-	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "latteccd: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintln(os.Stderr, "latteccd: draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if registrar != nil {
-		// Deregister first so the router reroutes new jobs immediately
-		// instead of noticing the drain at its next health probe.
-		registrar.Stop(drainCtx)
-	}
-	drainErr := srv.Shutdown(drainCtx)
-	if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "latteccd: http shutdown: %v\n", err)
-	}
-	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "latteccd: %v\n", drainErr)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "latteccd: drained, bye")
+	fmt.Fprintf(os.Stderr, "latteccd: serving on %s (workers=%d queue=%d)\n", *addr, *workers, *queue)
+	os.Exit(server.Serve("latteccd", *addr, srv.Handler(), *drain, shutdown))
 }

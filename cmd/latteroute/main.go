@@ -29,17 +29,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"lattecc/internal/cluster"
+	"lattecc/internal/server"
 	"lattecc/internal/sim"
 )
 
@@ -82,32 +78,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "latteroute: %v\n", err)
 		os.Exit(2)
 	}
-	hs := &http.Server{Addr: *addr, Handler: rt.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "latteroute: routing on %s (policy=%s max-inflight=%d)\n", *addr, *policy, *inflight)
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "latteroute: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintln(os.Stderr, "latteroute: draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	drainErr := rt.Shutdown(drainCtx)
-	if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "latteroute: http shutdown: %v\n", err)
-	}
-	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "latteroute: %v\n", drainErr)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "latteroute: drained, bye")
+	os.Exit(server.Serve("latteroute", *addr, rt.Handler(), *drain, rt.Shutdown))
 }

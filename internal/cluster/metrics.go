@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"lattecc/internal/server"
 )
 
 // routerMetrics is latteroute's own counter set, rendered ahead of the
@@ -22,7 +24,6 @@ type routerMetrics struct {
 	workersRegistered atomic.Uint64
 
 	rejectedFull      atomic.Uint64 // 429: cluster at max in-flight
-	rejectedDraining  atomic.Uint64 // 503: router shutting down
 	rejectedInvalid   atomic.Uint64 // 4xx: malformed or worker-rejected
 	rejectedNoWorkers atomic.Uint64 // 503: empty or unroutable fleet
 }
@@ -38,24 +39,21 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	m := rt.metrics
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("latteroute_jobs_routed_total", "Cluster jobs admitted and placed on a worker.", m.jobsRouted.Load())
-	counter("latteroute_jobs_completed_total", "Cluster jobs that reached done.", m.jobsCompleted.Load())
-	counter("latteroute_jobs_failed_total", "Cluster jobs that reached failed.", m.jobsFailed.Load())
-	counter("latteroute_retries_total", "Jobs re-placed on another worker after losing theirs.", m.retries.Load())
-	counter("latteroute_workers_registered_total", "Distinct worker registrations accepted.", m.workersRegistered.Load())
-	counter("latteroute_worker_evictions_total", "Workers force-removed after failed health probes.", rt.reg.Evictions())
+	server.WriteMetric(w, "counter", "latteroute_jobs_routed_total", "Cluster jobs admitted and placed on a worker.", m.jobsRouted.Load())
+	server.WriteMetric(w, "counter", "latteroute_jobs_completed_total", "Cluster jobs that reached done.", m.jobsCompleted.Load())
+	server.WriteMetric(w, "counter", "latteroute_jobs_failed_total", "Cluster jobs that reached failed.", m.jobsFailed.Load())
+	server.WriteMetric(w, "counter", "latteroute_retries_total", "Jobs re-placed on another worker after losing theirs.", m.retries.Load())
+	server.WriteMetric(w, "counter", "latteroute_workers_registered_total", "Distinct worker registrations accepted.", m.workersRegistered.Load())
+	server.WriteMetric(w, "counter", "latteroute_worker_evictions_total", "Workers force-removed after failed health probes.", rt.reg.Evictions())
 
 	fmt.Fprintf(w, "# HELP latteroute_jobs_rejected_total Submissions refused at admission, by reason.\n")
 	fmt.Fprintf(w, "# TYPE latteroute_jobs_rejected_total counter\n")
 	fmt.Fprintf(w, "latteroute_jobs_rejected_total{reason=\"max_inflight\"} %d\n", m.rejectedFull.Load())
-	fmt.Fprintf(w, "latteroute_jobs_rejected_total{reason=\"draining\"} %d\n", m.rejectedDraining.Load())
+	fmt.Fprintf(w, "latteroute_jobs_rejected_total{reason=\"draining\"} %d\n", rt.gate.Refused())
 	fmt.Fprintf(w, "latteroute_jobs_rejected_total{reason=\"invalid\"} %d\n", m.rejectedInvalid.Load())
 	fmt.Fprintf(w, "latteroute_jobs_rejected_total{reason=\"no_workers\"} %d\n", m.rejectedNoWorkers.Load())
 
-	fmt.Fprintf(w, "# HELP latteroute_inflight_jobs Non-terminal cluster jobs.\n# TYPE latteroute_inflight_jobs gauge\nlatteroute_inflight_jobs %d\n", inflight)
+	server.WriteMetric(w, "gauge", "latteroute_inflight_jobs", "Non-terminal cluster jobs.", inflight)
 	fmt.Fprintf(w, "# HELP latteroute_workers Live workers by state.\n# TYPE latteroute_workers gauge\n")
 	alive, draining := 0, 0
 	for _, wk := range workers {

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"lattecc/internal/server"
 )
 
 // WorkerInfo is one worker's externally visible state, as rendered by
@@ -30,15 +32,6 @@ type WorkerInfo struct {
 // Load is the worker's routable load: what it reported at the last
 // probe plus what this router has optimistically assigned since.
 func (w WorkerInfo) Load() int64 { return w.Queued + w.Running + w.Assigned }
-
-// loadStatus mirrors the worker's GET /v1/load response
-// (server.LoadStatus); redeclared here so the registry compiles against
-// the wire shape, not the server package internals.
-type loadStatus struct {
-	Queued   int64 `json:"queued"`
-	Running  int64 `json:"running"`
-	Draining bool  `json:"draining"`
-}
 
 // workerEntry is the registry's mutable record for one live worker.
 type workerEntry struct {
@@ -263,22 +256,22 @@ func (r *Registry) ProbeAll(ctx context.Context) {
 }
 
 // probe fetches one worker's load report.
-func (r *Registry) probe(ctx context.Context, url string) (loadStatus, error) {
+func (r *Registry) probe(ctx context.Context, url string) (server.LoadStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/load", nil)
 	if err != nil {
-		return loadStatus{}, err
+		return server.LoadStatus{}, err
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return loadStatus{}, err
+		return server.LoadStatus{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return loadStatus{}, fmt.Errorf("probe %s: status %d", url, resp.StatusCode)
+		return server.LoadStatus{}, fmt.Errorf("probe %s: status %d", url, resp.StatusCode)
 	}
-	var st loadStatus
+	var st server.LoadStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return loadStatus{}, err
+		return server.LoadStatus{}, err
 	}
 	return st, nil
 }

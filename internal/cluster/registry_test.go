@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"lattecc/internal/server"
 )
 
 // fakeWorker serves just the worker endpoints the registry touches:
@@ -17,7 +19,7 @@ type fakeWorker struct {
 	ts *httptest.Server
 
 	mu   sync.Mutex
-	load loadStatus
+	load server.LoadStatus
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -35,7 +37,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	return f
 }
 
-func (f *fakeWorker) setLoad(st loadStatus) {
+func (f *fakeWorker) setLoad(st server.LoadStatus) {
 	f.mu.Lock()
 	f.load = st
 	f.mu.Unlock()
@@ -49,9 +51,9 @@ func (f *fakeWorker) url() string { return f.ts.URL }
 // matter how idle it looks.
 func TestLeastLoadedNeverRoutesToDraining(t *testing.T) {
 	busy := newFakeWorker(t)
-	busy.setLoad(loadStatus{Queued: 50, Running: 2})
+	busy.setLoad(server.LoadStatus{Queued: 50, Running: 2})
 	idle := newFakeWorker(t)
-	idle.setLoad(loadStatus{Draining: true}) // idle but leaving
+	idle.setLoad(server.LoadStatus{Draining: true}) // idle but leaving
 
 	reg := NewRegistry(3, 0, busy.ts.Client())
 	reg.Register(busy.url())
@@ -73,7 +75,7 @@ func TestLeastLoadedNeverRoutesToDraining(t *testing.T) {
 
 	// Once every worker is draining, every policy must refuse rather
 	// than violate the drain.
-	busy.setLoad(loadStatus{Draining: true})
+	busy.setLoad(server.LoadStatus{Draining: true})
 	reg.ProbeAll(context.Background())
 	for _, pol := range policies {
 		if got, err := pol.Pick(1, reg, ""); err != ErrNoWorkers {
@@ -87,9 +89,9 @@ func TestLeastLoadedNeverRoutesToDraining(t *testing.T) {
 // burst off the previously idlest worker before the next probe.
 func TestLeastLoadedPrefersIdleAndHonoursAssigned(t *testing.T) {
 	w1 := newFakeWorker(t)
-	w1.setLoad(loadStatus{Queued: 9})
+	w1.setLoad(server.LoadStatus{Queued: 9})
 	w2 := newFakeWorker(t)
-	w2.setLoad(loadStatus{Queued: 0})
+	w2.setLoad(server.LoadStatus{Queued: 0})
 
 	reg := NewRegistry(3, 0, w1.ts.Client())
 	reg.Register(w1.url())

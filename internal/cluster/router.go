@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lattecc/internal/server"
@@ -51,21 +50,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// JobView is a cluster job as rendered to clients. The first five
-// fields mirror server.JobStatus field for field, so a client written
-// against a single worker (cmd/latteclient) works unchanged against the
-// router.
+// JobView is a cluster job as rendered to clients: a server.JobStatus,
+// so a client written against a single worker (cmd/latteclient) works
+// unchanged against the router, plus its placement. The router always
+// sets the fingerprint.
 type JobView struct {
-	ID      string             `json:"id"`
-	Status  string             `json:"status"`
-	Error   string             `json:"error,omitempty"`
-	Runs    int                `json:"runs"`
-	Results []server.RunResult `json:"results,omitempty"`
-
-	Fingerprint string `json:"fingerprint"`
-	Worker      string `json:"worker,omitempty"`
-	WorkerJob   string `json:"worker_job,omitempty"`
-	Retries     int    `json:"retries"`
+	server.JobStatus
+	Worker    string `json:"worker,omitempty"`
+	WorkerJob string `json:"worker_job,omitempty"`
+	Retries   int    `json:"retries"`
 }
 
 // RegisterRequest is the body of POST /v1/workers: a worker announcing
@@ -151,18 +144,10 @@ func (j *cjob) finish(st server.JobStatus) bool {
 
 func (j *cjob) view() JobView {
 	j.mu.Lock()
-	v := JobView{
-		ID:          j.id,
-		Status:      j.last.Status,
-		Error:       j.last.Error,
-		Runs:        j.runs,
-		Results:     j.last.Results,
-		Fingerprint: j.fpHex,
-		Worker:      j.worker,
-		WorkerJob:   j.workerJob,
-		Retries:     j.retries,
-	}
+	v := JobView{JobStatus: j.last, Worker: j.worker, WorkerJob: j.workerJob, Retries: j.retries}
 	j.mu.Unlock()
+	// The worker's status, under this job's cluster-wide identity.
+	v.ID, v.Runs, v.Fingerprint = j.id, j.runs, j.fpHex
 	if v.Status == "" {
 		v.Status = "queued"
 	}
@@ -181,16 +166,13 @@ type Router struct {
 	client  *http.Client // forwards, status polls (bounded timeout)
 	stream  *http.Client // SSE proxying (no timeout; request-context bound)
 	metrics *routerMetrics
+	gate    *server.Gate
+	jobs    *server.Table[*cjob]
 
 	mu sync.Mutex //lint:mutex nocalls
 	//lint:guards mu
-	jobs map[string]*cjob
-	//lint:guards mu
 	inflight int
 
-	draining  atomic.Bool
-	admit     sync.RWMutex // write-held by Shutdown to fence admission
-	nextID    atomic.Uint64
 	watcherWg sync.WaitGroup
 	healthWg  sync.WaitGroup
 	stopCh    chan struct{}
@@ -233,29 +215,19 @@ func New(cfg Config) (*Router, error) {
 		client:  client,
 		stream:  &http.Client{},
 		metrics: &routerMetrics{},
-		jobs:    map[string]*cjob{},
+		gate:    server.NewGate("router"),
+		jobs:    server.NewTable[*cjob]("cjob"),
 		stopCh:  make(chan struct{}),
 	}
 
-	rt.mux.HandleFunc("POST /v1/runs", rt.handleSubmit)
+	rt.mux.HandleFunc("POST /v1/runs", rt.gate.Admit(rt.handleSubmit))
 	rt.mux.HandleFunc("GET /v1/runs/{id}", rt.handleStatus)
 	rt.mux.HandleFunc("GET /v1/runs/{id}/events", rt.handleEvents)
 	rt.mux.HandleFunc("POST /v1/workers", rt.handleRegister)
 	rt.mux.HandleFunc("DELETE /v1/workers", rt.handleDeregister)
 	rt.mux.HandleFunc("GET /v1/workers", rt.handleWorkers)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	rt.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if rt.draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ready")
-	})
+	rt.gate.HandleProbes(rt.mux)
 
 	rt.healthWg.Add(1)
 	go rt.healthLoop()
@@ -290,19 +262,8 @@ func (rt *Router) healthLoop() {
 // surviving workers if theirs die mid-drain), and the health loop stops
 // last. Returns an error if ctx expires first.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.admit.Lock()
-	rt.draining.Store(true)
-	rt.admit.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		rt.watcherWg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return fmt.Errorf("cluster: drain incomplete: %w", ctx.Err())
+	if err := rt.gate.Drain(ctx, &rt.watcherWg); err != nil {
+		return err
 	}
 	rt.Close()
 	return nil
@@ -453,9 +414,9 @@ func (rt *Router) watch(j *cjob) {
 
 // retryElsewhere re-places a lost job on another worker. Returns false
 // when the job reached a terminal (failed) state instead — retry budget
-// exhausted, or no live workers to retry on.
+// exhausted, or no live workers to retry on — and still belongs to
+// deadWorker, whose assigned count release then returns.
 func (rt *Router) retryElsewhere(j *cjob, deadWorker, cause string) bool {
-	rt.reg.NoteAssigned(deadWorker, -1)
 	if n := j.noteRetry(); n > rt.cfg.RetryLimit {
 		rt.finalize(j, server.JobStatus{
 			Status: "failed",
@@ -472,6 +433,7 @@ func (rt *Router) retryElsewhere(j *cjob, deadWorker, cause string) bool {
 		})
 		return false
 	}
+	rt.reg.NoteAssigned(deadWorker, -1) // the job left it
 	return true
 }
 
@@ -488,13 +450,13 @@ func (rt *Router) finalize(j *cjob, st server.JobStatus) {
 	}
 }
 
-// release returns j's admission slot and load attribution when its
-// watcher exits for any reason (terminal job, or router close).
+// release returns j's admission slot and its current worker's assigned
+// count when its watcher exits for any reason (terminal job, or router
+// close). With retryElsewhere's decrement on a move, every placement is
+// matched by exactly one decrement.
 func (rt *Router) release(j *cjob) {
-	worker, _, terminal := j.owner()
-	if terminal && worker != "" {
-		rt.reg.NoteAssigned(worker, -1)
-	}
+	worker, _, _ := j.owner()
+	rt.reg.NoteAssigned(worker, -1)
 	rt.mu.Lock()
 	rt.inflight--
 	rt.mu.Unlock()
@@ -502,44 +464,17 @@ func (rt *Router) release(j *cjob) {
 
 // --- HTTP handlers ----------------------------------------------------
 
+// handleSubmit admits one cluster job; Router.gate.Admit holds the
+// fence around it, so no watcher can spawn behind the drain.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Same admission fence as the worker daemon: Shutdown flips draining
-	// under the write half, so no watcher can spawn behind the drain.
-	rt.admit.RLock()
-	defer rt.admit.RUnlock()
-	if rt.draining.Load() {
-		rt.metrics.rejectedDraining.Add(1)
-		server.WriteJSONError(w, http.StatusServiceUnavailable, "router is draining")
-		return
-	}
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		rt.metrics.rejectedInvalid.Add(1)
-		server.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	// Decode just enough to count runs and compute the affinity
+	// Parse just enough to count runs and compute the affinity
 	// fingerprint; full validation (workload/policy names) is the
 	// worker's job, and its 4xx answers are relayed verbatim.
-	var req server.SubmitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		rt.metrics.rejectedInvalid.Add(1)
-		server.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
+	body, req, err := server.ReadSubmit(w, r)
+	var cfg sim.Config
+	if err == nil {
+		cfg, err = req.Config.Apply(rt.cfg.BaseConfig)
 	}
-	runs := len(req.Runs)
-	if req.Workload != "" || req.Policy != "" {
-		runs = 1
-	}
-	if runs == 0 {
-		rt.metrics.rejectedInvalid.Add(1)
-		server.WriteJSONError(w, http.StatusBadRequest, "no runs submitted")
-		return
-	}
-	cfg, err := req.Config.Apply(rt.cfg.BaseConfig)
 	if err != nil {
 		rt.metrics.rejectedInvalid.Add(1)
 		server.WriteJSONError(w, http.StatusBadRequest, err.Error())
@@ -561,11 +496,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := &cjob{
-		id:    fmt.Sprintf("cjob-%06d", rt.nextID.Add(1)),
+		id:    rt.jobs.Mint(),
 		body:  body,
 		fp:    fp,
 		fpHex: fmt.Sprintf("0x%016x", fp),
-		runs:  runs,
+		runs:  len(req.Runs),
 	}
 	if err := rt.place(j, ""); err != nil {
 		rt.mu.Lock()
@@ -586,9 +521,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rt.mu.Lock()
-	rt.jobs[j.id] = j
-	rt.mu.Unlock()
+	rt.jobs.Put(j.id, j)
 	rt.watcherWg.Add(1)
 	go rt.watch(j)
 
@@ -596,21 +529,15 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	worker, _, _ := j.owner()
 	w.WriteHeader(http.StatusAccepted)
 	server.WriteJSON(w, JobView{
-		ID:          j.id,
-		Status:      "queued",
-		Runs:        runs,
-		Fingerprint: j.fpHex,
-		Worker:      worker,
+		JobStatus: server.JobStatus{ID: j.id, Status: "queued", Runs: j.runs, Fingerprint: j.fpHex},
+		Worker:    worker,
 	})
 }
 
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobByID(r.PathValue("id"))
-	if j == nil {
-		server.WriteJSONError(w, http.StatusNotFound, "no such job")
-		return
+	if j, ok := rt.jobs.Lookup(w, r); ok {
+		server.WriteJSON(w, j.view())
 	}
-	server.WriteJSON(w, j.view())
 }
 
 // handleEvents proxies the owning worker's SSE stream. If the worker
@@ -620,21 +547,14 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 // terminal and its worker gone, a single synthetic terminal frame is
 // emitted from the router's cached result.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobByID(r.PathValue("id"))
-	if j == nil {
-		server.WriteJSONError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	fl, ok := w.(http.Flusher)
+	j, ok := rt.jobs.Lookup(w, r)
 	if !ok {
-		server.WriteJSONError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
+	fl, ok := server.StartSSE(w)
+	if !ok {
+		return
+	}
 	for {
 		worker, workerJob, terminal := j.owner()
 		if err := rt.proxyStream(r.Context(), w, fl, worker, workerJob); err == nil {
@@ -645,8 +565,7 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if terminal {
 			v := j.view()
-			data, _ := json.Marshal(v)
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", v.Status, data)
+			server.WriteEvent(w, v.Status, v)
 			fl.Flush()
 			return
 		}
@@ -732,12 +651,6 @@ func (rt *Router) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 		"policy":  rt.policy.Name(),
 		"workers": rt.reg.Snapshot(),
 	})
-}
-
-func (rt *Router) jobByID(id string) *cjob {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.jobs[id]
 }
 
 // Inflight reports the number of non-terminal cluster jobs (tests).

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,7 +329,7 @@ func newStubWorker(t *testing.T, mode stubMode) *stubWorker {
 		fmt.Fprintf(w, "event: done\ndata: {\"id\":%q,\"status\":\"done\"}\n\n", r.PathValue("id"))
 	})
 	mux.HandleFunc("GET /v1/load", func(w http.ResponseWriter, _ *http.Request) {
-		_ = json.NewEncoder(w).Encode(loadStatus{})
+		_ = json.NewEncoder(w).Encode(server.LoadStatus{})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		s.mu.Lock()
@@ -562,4 +563,129 @@ func TestRouterEventsProxy(t *testing.T) {
 	if !strings.Contains(string(body), "event: done") {
 		t.Fatalf("proxied stream missing terminal frame:\n%s", body)
 	}
+}
+
+// TestRouterAssignedCountedOnce: a lost job whose re-place fails gives
+// its worker's assigned count back exactly once, so the job the worker
+// still holds keeps counting. A long HealthInterval keeps probes, which
+// reset the count, out of the way.
+func TestRouterAssignedCountedOnce(t *testing.T) {
+	// One worker: its first job runs forever, every later one is lost.
+	var accepted atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, _ *http.Request) {
+		id := fmt.Sprintf("sj-%03d", accepted.Add(1))
+		w.WriteHeader(http.StatusAccepted)
+		_ = json.NewEncoder(w).Encode(server.SubmitResponse{ID: id, Status: "queued", Runs: 1})
+	})
+	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if r.PathValue("id") != "sj-001" {
+			http.Error(w, "no such job", http.StatusNotFound)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(server.JobStatus{ID: "sj-001", Status: "running", Runs: 1})
+	})
+	wkr := httptest.NewServer(mux)
+	t.Cleanup(wkr.Close)
+
+	rt, rts := startRouter(t, Config{Policy: "fingerprint", HealthInterval: time.Hour})
+	registerWorker(t, rts.URL, wkr.URL)
+	submitCluster(t, rts.URL, server.SubmitRequest{Workload: "BO", Policy: "LATTE-CC"})
+	lost := submitCluster(t, rts.URL, server.SubmitRequest{Workload: "SS", Policy: "LATTE-CC"})
+	if got := waitCluster(t, rts.URL, lost.ID); got.Status != "failed" {
+		t.Fatalf("lost job with nowhere to go ended %s", got.Status)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Inflight() != 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := rt.Inflight(); got != 1 {
+		t.Fatalf("inflight=%d, want the held job only", got)
+	}
+	if got := rt.Registry().Snapshot()[0].Assigned; got != 1 {
+		t.Fatalf("worker assigned=%d, want 1 for the held job", got)
+	}
+}
+
+// TestRouterAdmissionRacesDrain fires concurrent submissions at
+// Shutdown. Every 202 must name a job that is terminal once Shutdown
+// returns, and every refusal must be a 503 counted as
+// reason="draining".
+func TestRouterAdmissionRacesDrain(t *testing.T) {
+	wkr := newStubWorker(t, stubDone)
+	rt, rts := startRouter(t, Config{Policy: "fingerprint"})
+	registerWorker(t, rts.URL, wkr.ts.URL)
+
+	const n = 48
+	codes, ids := make([]int, n), make([]string, n)
+	errs := make(chan error, n)
+	answered := make(chan struct{}, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { answered <- struct{}{} }()
+			resp, err := http.Post(rts.URL+"/v1/runs", "application/json",
+				strings.NewReader(`{"workload":"BO","policy":"LATTE-CC"}`))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			var v JobView
+			if resp.StatusCode == http.StatusAccepted {
+				if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+					errs <- err
+				}
+				ids[i] = v.ID
+			}
+		}(i)
+	}
+	<-answered // let some submissions land, then drain under the rest
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	refused := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			resp, err := http.Get(rts.URL + "/v1/runs/" + ids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v JobView
+			err = json.NewDecoder(resp.Body).Decode(&v)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Status != "done" && v.Status != "failed" {
+				t.Errorf("admitted job %s is %q after the drain", ids[i], v.Status)
+			}
+		case http.StatusServiceUnavailable:
+			refused++
+		default:
+			t.Errorf("submission %d answered %d, want 202 or 503", i, code)
+		}
+	}
+	resp, err := http.Get(rts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf(`latteroute_jobs_rejected_total{reason="draining"} %d`+"\n", refused); !strings.Contains(string(page), want) {
+		t.Errorf("metrics missing %q for the %d 503s", want, refused)
+	}
+	t.Logf("%d admitted, %d refused", n-refused, refused)
 }

@@ -381,7 +381,9 @@ func (sc *lockScanner) guardOf(n *ast.SelectorExpr) (mux, owner string, ok bool)
 		if sel.Kind() != types.FieldVal {
 			return "", "", false
 		}
-		mux, ok := sc.c.fieldGuard[sel.Obj()]
+		// Origin maps a field of an instantiated generic type (Table[int].m)
+		// back to the declared field the annotation was recorded on.
+		mux, ok := sc.c.fieldGuard[sel.Obj().(*types.Var).Origin()]
 		if !ok {
 			return "", "", false
 		}
@@ -745,7 +747,7 @@ func (sc *lockScanner) resolveMutex(base ast.Expr) heldLock {
 	switch b := base.(type) {
 	case *ast.SelectorExpr:
 		if sel := p.Info.Selections[b]; sel != nil && sel.Kind() == types.FieldVal {
-			obj := sel.Obj()
+			obj := sel.Obj().(*types.Var).Origin()
 			id := ""
 			if named := namedRecvType(sel.Recv()); named != "" {
 				id = p.PkgPath + "." + named + "." + obj.Name()

@@ -112,3 +112,28 @@ func lookup(k string) int {
 func leakVar(k string) int {
 	return table[k] // want: package var table accessed without tableMu
 }
+
+// jobTable is generic: its guarded field resolves through the instantiated
+// selection's origin, in its own methods and on an instance alike.
+type jobTable[J any] struct {
+	mu sync.Mutex //lint:mutex nocalls
+	//lint:guards mu
+	m map[string]J
+}
+
+// get holds the mutex; no findings.
+func (t *jobTable[J]) get(k string) J {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[k]
+}
+
+// leakGeneric reads the guarded map inside a method of the generic type.
+func (t *jobTable[J]) leakGeneric(k string) J {
+	return t.m[k] // want: t.m accessed without holding t.mu
+}
+
+// leakInstance reads the guarded map through an instantiated value.
+func leakInstance(t *jobTable[int], k string) int {
+	return t.m[k] // want: t.m accessed without holding t.mu
+}

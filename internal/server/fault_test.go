@@ -131,9 +131,9 @@ func TestQueueOverflowFaultInjected(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 must carry Retry-After")
 	}
-	s.mu.Lock()
-	leaked := len(s.jobs)
-	s.mu.Unlock()
+	s.jobs.mu.Lock()
+	leaked := len(s.jobs.m)
+	s.jobs.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d jobs leaked by the rejected submission", leaked)
 	}

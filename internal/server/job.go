@@ -25,7 +25,6 @@ const (
 type Job struct {
 	id       string
 	reqs     []harness.RunRequest
-	suite    *harness.Suite
 	fpx      string // suite fingerprint pre-rendered; immutable, so readable under mu without a call
 	deadline time.Duration
 
@@ -45,11 +44,10 @@ type Job struct {
 	notify chan struct{} // closed and replaced on every append
 }
 
-func newJob(id string, reqs []harness.RunRequest, suite *harness.Suite, fp uint64, deadline time.Duration) *Job {
+func newJob(id string, reqs []harness.RunRequest, fp uint64, deadline time.Duration) *Job {
 	j := &Job{
 		id:       id,
 		reqs:     reqs,
-		suite:    suite,
 		fpx:      fpHex(fp),
 		deadline: deadline,
 		state:    stateQueued,

@@ -25,9 +25,8 @@ type metrics struct {
 	jobsCompleted atomic.Uint64
 	jobsFailed    atomic.Uint64
 
-	rejectedFull     atomic.Uint64 // 429: job queue at capacity
-	rejectedDraining atomic.Uint64 // 503: shutdown in progress
-	rejectedInvalid  atomic.Uint64 // 400: malformed submission
+	rejectedFull    atomic.Uint64 // 429: job queue at capacity
+	rejectedInvalid atomic.Uint64 // 400: malformed submission
 
 	mu sync.Mutex //lint:mutex nocalls
 	//lint:guards mu
@@ -80,7 +79,7 @@ type metricsSnapshot struct {
 	fresh      uint64 // sum of Suite.Simulations() over all suites
 	cacheHits  uint64 // sum of Suite.CacheHits() over all suites
 	storeHits  uint64 // sum of Suite.StoreHits() over all suites
-	draining   bool
+	gate       *Gate  // draining state and its 503 count
 
 	// Persistent-store activity; rendered only when a store is
 	// configured (hasStore), so memory-only daemons scrape identically
@@ -94,49 +93,42 @@ type metricsSnapshot struct {
 // write renders the registry in Prometheus text format. Workloads are
 // emitted in sorted order so scrapes are byte-stable for tests.
 func (m *metrics) write(w io.Writer, snap metricsSnapshot) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	counter("latteccd_jobs_accepted_total", "Jobs admitted to the queue.", m.jobsAccepted.Load())
-	counter("latteccd_jobs_completed_total", "Jobs that finished with results.", m.jobsCompleted.Load())
-	counter("latteccd_jobs_failed_total", "Jobs that ended in an error (bad run, deadline).", m.jobsFailed.Load())
+	WriteMetric(w, "counter", "latteccd_jobs_accepted_total", "Jobs admitted to the queue.", m.jobsAccepted.Load())
+	WriteMetric(w, "counter", "latteccd_jobs_completed_total", "Jobs that finished with results.", m.jobsCompleted.Load())
+	WriteMetric(w, "counter", "latteccd_jobs_failed_total", "Jobs that ended in an error (bad run, deadline).", m.jobsFailed.Load())
 
 	fmt.Fprintf(w, "# HELP latteccd_jobs_rejected_total Submissions refused at admission, by reason.\n")
 	fmt.Fprintf(w, "# TYPE latteccd_jobs_rejected_total counter\n")
 	fmt.Fprintf(w, "latteccd_jobs_rejected_total{reason=\"queue_full\"} %d\n", m.rejectedFull.Load())
-	fmt.Fprintf(w, "latteccd_jobs_rejected_total{reason=\"draining\"} %d\n", m.rejectedDraining.Load())
+	fmt.Fprintf(w, "latteccd_jobs_rejected_total{reason=\"draining\"} %d\n", snap.gate.Refused())
 	fmt.Fprintf(w, "latteccd_jobs_rejected_total{reason=\"invalid\"} %d\n", m.rejectedInvalid.Load())
 
-	gauge("latteccd_queue_depth", "Jobs waiting for a worker.", int64(snap.queueDepth))
-	gauge("latteccd_suites", "Resident suites (one per distinct machine config).", int64(snap.suites))
-	drain := int64(0)
-	if snap.draining {
+	WriteMetric(w, "gauge", "latteccd_queue_depth", "Jobs waiting for a worker.", snap.queueDepth)
+	WriteMetric(w, "gauge", "latteccd_suites", "Resident suites (one per distinct machine config).", snap.suites)
+	drain := 0
+	if snap.gate.Draining() {
 		drain = 1
 	}
-	gauge("latteccd_draining", "1 while shutdown is draining in-flight jobs.", drain)
+	WriteMetric(w, "gauge", "latteccd_draining", "1 while shutdown is draining in-flight jobs.", drain)
 
-	counter("latteccd_simulations_fresh_total",
+	WriteMetric(w, "counter", "latteccd_simulations_fresh_total",
 		"Simulations actually executed (Suite.Simulations over all suites).", snap.fresh)
-	counter("latteccd_simulation_cache_hits_total",
+	WriteMetric(w, "counter", "latteccd_simulation_cache_hits_total",
 		"Run requests served from the result cache (Suite.CacheHits over all suites).", snap.cacheHits)
-	counter("latteccd_simulation_store_hits_total",
+	WriteMetric(w, "counter", "latteccd_simulation_store_hits_total",
 		"Run requests served from the persistent result store (Suite.StoreHits over all suites).", snap.storeHits)
 
 	if snap.hasStore {
-		counter("latteccd_store_hits_total", "Store loads served from a validated disk entry.", snap.store.Hits)
-		counter("latteccd_store_misses_total", "Store loads with no entry on disk.", snap.store.Misses)
-		counter("latteccd_store_corrupt_total",
+		WriteMetric(w, "counter", "latteccd_store_hits_total", "Store loads served from a validated disk entry.", snap.store.Hits)
+		WriteMetric(w, "counter", "latteccd_store_misses_total", "Store loads with no entry on disk.", snap.store.Misses)
+		WriteMetric(w, "counter", "latteccd_store_corrupt_total",
 			"Entries discarded by fail-closed validation (truncation, checksum, StateHash, key mismatch).", snap.store.Corrupt)
-		counter("latteccd_store_evictions_total", "Entries deleted by the LRU size bound.", snap.store.Evictions)
-		counter("latteccd_store_saves_total", "Entries written to disk.", snap.store.Saves)
-		gauge("latteccd_store_entries", "Entries currently indexed by the store.", int64(snap.store.Entries))
-		gauge("latteccd_store_bytes", "Total bytes of indexed store entries.", snap.store.Bytes)
-		counter("latteccd_store_peer_hits_total", "Local store misses rescued by a cluster peer's entry.", snap.peerHits)
-		counter("latteccd_store_peer_misses_total", "Local store misses no cluster peer could serve.", snap.peerMisses)
+		WriteMetric(w, "counter", "latteccd_store_evictions_total", "Entries deleted by the LRU size bound.", snap.store.Evictions)
+		WriteMetric(w, "counter", "latteccd_store_saves_total", "Entries written to disk.", snap.store.Saves)
+		WriteMetric(w, "gauge", "latteccd_store_entries", "Entries currently indexed by the store.", snap.store.Entries)
+		WriteMetric(w, "gauge", "latteccd_store_bytes", "Total bytes of indexed store entries.", snap.store.Bytes)
+		WriteMetric(w, "counter", "latteccd_store_peer_hits_total", "Local store misses rescued by a cluster peer's entry.", snap.peerHits)
+		WriteMetric(w, "counter", "latteccd_store_peer_misses_total", "Local store misses no cluster peer could serve.", snap.peerMisses)
 	}
 
 	// Snapshot the histograms under mu, render outside: mu is nocalls,

@@ -9,8 +9,14 @@
 //	POST /v1/runs              submit one run or a batch; returns a job ID
 //	GET  /v1/runs/{id}         job status + results (cycles, IPC, StateHash)
 //	GET  /v1/runs/{id}/events  SSE progress stream (one run frame per request)
+//	GET  /v1/results/{key}     raw result-store entry (cache-peer protocol)
+//	GET  /v1/load              queue/running/draining report the router probes
 //	GET  /metrics              Prometheus text format
 //	GET  /healthz, /readyz     liveness / readiness (503 while draining)
+//
+// The admission gate, job table, SSE framing, submission parsing and
+// serve loop are the service core in service.go, shared with the
+// cluster router.
 //
 // Determinism is the contract: a job served by the daemon returns the
 // same StateHash as a direct Suite.MustRun for the same (workload,
@@ -23,7 +29,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -79,20 +84,26 @@ type Server struct {
 	// store is the disk+peer tier installed on every resident suite;
 	// nil when the daemon runs memory-only (no -store flag).
 	store *tieredStore
+	gate  *Gate
+	jobs  *Table[*Job]
 
 	mu        sync.Mutex
 	suites    map[uint64]*harness.Suite
-	jobs      map[string]*Job
 	workloads map[string]bool
 	policies  map[harness.Policy]bool
 
-	queue    chan *Job
-	drainCh  chan struct{}
-	running  atomic.Int64
-	draining atomic.Bool
-	admit    sync.RWMutex // write-held by Shutdown to fence admission
-	nextID   atomic.Uint64
-	wg       sync.WaitGroup
+	queue   chan queued
+	running atomic.Int64
+	wg      sync.WaitGroup
+}
+
+// queued is an admitted job on its way to a worker, with the machine its
+// suite is keyed on. The suite is resolved only when a worker starts the
+// job, so a refused submission leaves none, and the job kept in the
+// table holds no config copy.
+type queued struct {
+	job *Job
+	cfg sim.Config
 }
 
 // New builds a Server and starts its workers. The returned server is
@@ -114,12 +125,12 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		metrics:   newMetrics(),
+		gate:      NewGate("server"),
+		jobs:      NewTable[*Job]("job"),
 		suites:    map[uint64]*harness.Suite{},
-		jobs:      map[string]*Job{},
 		workloads: map[string]bool{},
 		policies:  map[harness.Policy]bool{},
-		queue:     make(chan *Job, cfg.QueueDepth),
-		drainCh:   make(chan struct{}),
+		queue:     make(chan queued, cfg.QueueDepth),
 	}
 	for _, w := range harness.Workloads() {
 		s.workloads[w] = true
@@ -131,24 +142,13 @@ func New(cfg Config) *Server {
 		s.store = newTieredStore(cfg.Store, cfg.Peers)
 	}
 
-	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
+	s.mux.HandleFunc("POST /v1/runs", s.gate.Admit(s.handleSubmit))
 	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/load", s.handleLoad)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	s.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ready")
-	})
+	s.gate.HandleProbes(s.mux)
 
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -165,25 +165,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Shutdown returns once every worker has exited — or ctx's deadline
 // fires first, in which case the drain is reported incomplete. Safe to
 // call more than once.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.admit.Lock()
-	if s.draining.CompareAndSwap(false, true) {
-		close(s.drainCh)
-	}
-	s.admit.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: drain incomplete: %w", ctx.Err())
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.gate.Drain(ctx, &s.wg) }
 
 // worker executes jobs until shutdown, then drains whatever is still
 // queued and exits.
@@ -191,13 +173,13 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		select {
-		case j := <-s.queue:
-			s.execute(j)
-		case <-s.drainCh:
+		case q := <-s.queue:
+			s.execute(q.job, q.cfg)
+		case <-s.gate.Done():
 			for {
 				select {
-				case j := <-s.queue:
-					s.execute(j)
+				case q := <-s.queue:
+					s.execute(q.job, q.cfg)
 				default:
 					return
 				}
@@ -206,15 +188,16 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job: exactly its own request list, each once, through
-// the harness pool under the job's deadline.
-func (s *Server) execute(j *Job) {
+// execute runs one job on cfg's resident suite: exactly its own request
+// list, each once, through the harness pool under the job's deadline.
+func (s *Server) execute(j *Job, cfg sim.Config) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
 	if h := s.cfg.startHook; h != nil {
 		h(j)
 	}
 	j.setRunning()
+	suite := s.suiteFor(cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), j.deadline)
 	defer cancel()
@@ -225,7 +208,7 @@ func (s *Server) execute(j *Job) {
 	results := make([]RunResult, len(j.reqs))
 	errs := make([]error, len(j.reqs))
 	start := time.Now()
-	j.suite.RunBatch(ctx, s.cfg.RunJobs, j.reqs, func(i int, res sim.Result, cached bool, err error) {
+	suite.RunBatch(ctx, s.cfg.RunJobs, j.reqs, func(i int, res sim.Result, cached bool, err error) {
 		if err != nil {
 			errs[i] = err
 			return
@@ -283,12 +266,12 @@ func variantSpec(v harness.Variant) VariantSpec {
 
 // suiteFor returns the resident suite for cfg, creating it on first
 // use.
-func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
+func (s *Server) suiteFor(cfg sim.Config) *harness.Suite {
 	fp := cfg.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.suites[fp]; ok {
-		return st, fp
+		return st
 	}
 	st := harness.NewSuite(cfg)
 	if s.store != nil {
@@ -297,57 +280,27 @@ func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
 		st.Store = s.store
 	}
 	s.suites[fp] = st
-	return st, fp
+	return st
 }
 
 // --- HTTP handlers ----------------------------------------------------
 
+// handleSubmit admits one job; Server.gate.Admit holds the fence
+// around it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Admission holds the read half of the shutdown fence: after
-	// Shutdown flips draining (under the write lock), no job can slip
-	// into the queue behind the workers' final drain pass.
-	s.admit.RLock()
-	defer s.admit.RUnlock()
-	if s.draining.Load() {
-		s.metrics.rejectedDraining.Add(1)
-		WriteJSONError(w, http.StatusServiceUnavailable, "server is draining")
+	_, req, err := ReadSubmit(w, r)
+	if err != nil {
+		s.reject(w, err.Error())
 		return
 	}
-
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.metrics.rejectedInvalid.Add(1)
-		WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-
-	specs := req.Runs
-	if req.Workload != "" || req.Policy != "" {
-		if len(specs) > 0 {
-			s.metrics.rejectedInvalid.Add(1)
-			WriteJSONError(w, http.StatusBadRequest, "give either an inline workload/policy or a runs batch, not both")
-			return
-		}
-		specs = []RunSpec{{Workload: req.Workload, Policy: req.Policy, Variant: req.Variant}}
-	}
-	if len(specs) == 0 {
-		s.metrics.rejectedInvalid.Add(1)
-		WriteJSONError(w, http.StatusBadRequest, "no runs submitted")
-		return
-	}
-
-	reqs := make([]harness.RunRequest, 0, len(specs))
-	for _, spec := range specs {
+	reqs := make([]harness.RunRequest, 0, len(req.Runs))
+	for _, spec := range req.Runs {
 		if !s.workloads[spec.Workload] {
-			s.metrics.rejectedInvalid.Add(1)
-			WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown workload %q", spec.Workload))
+			s.reject(w, fmt.Sprintf("unknown workload %q", spec.Workload))
 			return
 		}
 		if !s.policies[harness.Policy(spec.Policy)] {
-			s.metrics.rejectedInvalid.Add(1)
-			WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown policy %q", spec.Policy))
+			s.reject(w, fmt.Sprintf("unknown policy %q", spec.Policy))
 			return
 		}
 		reqs = append(reqs, harness.RunRequest{
@@ -359,8 +312,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	cfg, err := req.Config.Apply(s.cfg.BaseConfig)
 	if err != nil {
-		s.metrics.rejectedInvalid.Add(1)
-		WriteJSONError(w, http.StatusBadRequest, err.Error())
+		s.reject(w, err.Error())
 		return
 	}
 
@@ -369,44 +321,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 
-	suite, fp := s.suiteFor(cfg)
-	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
-	job := newJob(id, reqs, suite, fp, deadline)
-
-	s.mu.Lock()
-	s.jobs[id] = job
-	s.mu.Unlock()
-
+	job := newJob(s.jobs.Mint(), reqs, cfg.Fingerprint(), deadline)
 	accepted := false
 	if !fault.Hit("server.queue-overflow") { // injected fault: behave as if the queue were full
 		select {
-		case s.queue <- job:
+		case s.queue <- queued{job, cfg}:
 			accepted = true
 		default:
 		}
 	}
 	if !accepted {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
 		s.metrics.rejectedFull.Add(1)
 		w.Header().Set("Retry-After", "1")
 		WriteJSONError(w, http.StatusTooManyRequests, "job queue full")
 		return
 	}
+	// Filed only once queued: no one can ask for the ID before the 202.
+	s.jobs.Put(job.id, job)
 
 	s.metrics.jobsAccepted.Add(1)
 	w.WriteHeader(http.StatusAccepted)
-	WriteJSON(w, SubmitResponse{ID: id, Status: string(stateQueued), Runs: len(reqs), Fingerprint: fpHex(fp)})
+	WriteJSON(w, SubmitResponse{ID: job.id, Status: string(stateQueued), Runs: len(reqs), Fingerprint: job.fpx})
+}
+
+// reject answers a malformed submission with 400.
+func (s *Server) reject(w http.ResponseWriter, msg string) {
+	s.metrics.rejectedInvalid.Add(1)
+	WriteJSONError(w, http.StatusBadRequest, msg)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(r.PathValue("id"))
-	if j == nil {
-		WriteJSONError(w, http.StatusNotFound, "no such job")
-		return
+	if j, ok := s.jobs.Lookup(w, r); ok {
+		WriteJSON(w, j.status())
 	}
-	WriteJSON(w, j.status())
 }
 
 // handleEvents streams a job's event log as Server-Sent Events: the
@@ -414,29 +361,19 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // still see everything), then live events until the job reaches a
 // terminal state or the client goes away.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(r.PathValue("id"))
-	if j == nil {
-		WriteJSONError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	fl, ok := w.(http.Flusher)
+	j, ok := s.jobs.Lookup(w, r)
 	if !ok {
-		WriteJSONError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
+	fl, ok := StartSSE(w)
+	if !ok {
+		return
+	}
 	sent := 0
 	for {
 		events, state, changed := j.snapshot()
 		for ; sent < len(events); sent++ {
-			data, err := json.Marshal(events[sent].Data)
-			if err != nil {
-				data = []byte(fmt.Sprintf("%q", err.Error()))
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", events[sent].Type, data)
+			WriteEvent(w, events[sent].Type, events[sent].Data)
 		}
 		fl.Flush()
 		if state == stateDone || state == stateFailed {
@@ -458,14 +395,14 @@ func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request) {
 		Queued:        int64(len(s.queue)),
 		Running:       s.running.Load(),
 		QueueCapacity: int64(cap(s.queue)),
-		Draining:      s.draining.Load(),
+		Draining:      s.gate.Draining(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := metricsSnapshot{
 		queueDepth: len(s.queue),
-		draining:   s.draining.Load(),
+		gate:       s.gate,
 	}
 	s.mu.Lock()
 	snap.suites = len(s.suites)
@@ -483,28 +420,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.write(w, snap)
-}
-
-func (s *Server) jobByID(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-// WriteJSON writes v as indented JSON, defaulting the Content-Type to
-// application/json. Shared by the daemon and the cluster router.
-func WriteJSON(w http.ResponseWriter, v any) {
-	if w.Header().Get("Content-Type") == "" {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// WriteJSONError answers code with a {"error": msg} JSON body.
-func WriteJSONError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -240,6 +240,50 @@ func TestQueueOverflow(t *testing.T) {
 	}
 }
 
+// TestRejectedSubmitLeavesNoSuite: a submission refused with 429 must
+// not leave a resident suite behind for its machine config. The full
+// queue and the injected server.queue-overflow fault share this path.
+func TestRejectedSubmitLeavesNoSuite(t *testing.T) {
+	started := make(chan *Job, 1)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{
+		Workers:    1,
+		QueueDepth: 1,
+		startHook: func(j *Job) {
+			started <- j
+			<-release
+		},
+	})
+	defer close(release)
+
+	one := SubmitRequest{Workload: "BO", Policy: "Uncompressed"}
+	submit(t, ts.URL, one)
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never picked up first job")
+	}
+	submit(t, ts.URL, one) // fills the queue
+
+	suites := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.suites)
+	}
+	before := suites()
+	for i := 0; i < 5; i++ {
+		mshrs := 8 + i // a new fingerprint per refused submission
+		req := one
+		req.Config = &ConfigOverrides{MSHRs: &mshrs}
+		if resp, body := post(t, ts.URL, req); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("submit %d into a full queue: status %d, body %s", i, resp.StatusCode, body)
+		}
+	}
+	if got := suites(); got != before {
+		t.Fatalf("resident suites %d -> %d after five refused submissions", before, got)
+	}
+}
+
 // TestGracefulShutdown: Shutdown rejects new submissions immediately
 // (503), completes the in-flight and queued jobs, and returns nil once
 // drained.
@@ -274,7 +318,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}()
 
 	// Draining: new work must bounce with 503.
-	waitFor(t, func() bool { return s.draining.Load() })
+	waitFor(t, s.gate.Draining)
 	resp, body := post(t, ts.URL, SubmitRequest{Workload: "FW", Policy: "Uncompressed"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit during drain: status %d, body %s", resp.StatusCode, body)
@@ -305,6 +349,87 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Errorf("second shutdown: %v", err)
 	}
+}
+
+// TestAdmissionRacesDrain fires concurrent submissions at Shutdown.
+// Every 202 must name a job that is terminal once Shutdown returns —
+// nothing is admitted behind the workers' final drain — and every
+// refusal must be a 503 counted as reason="draining".
+func TestAdmissionRacesDrain(t *testing.T) {
+	s := New(Config{BaseConfig: tinyConfig(), Workers: 2, QueueDepth: 256, DefaultDeadline: time.Minute})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const n = 48
+	codes, ids := make([]int, n), make([]string, n)
+	errs := make(chan error, n)
+	answered := make(chan struct{}, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { answered <- struct{}{} }()
+			resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+				strings.NewReader(`{"workload":"BO","policy":"Uncompressed"}`))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			var sr SubmitResponse
+			if resp.StatusCode == http.StatusAccepted {
+				if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+					errs <- err
+				}
+				ids[i] = sr.ID
+			}
+		}(i)
+	}
+	<-answered // let some submissions land, then drain under the rest
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	accepted, refused := 0, 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			accepted++
+			resp, err := http.Get(ts.URL + "/v1/runs/" + ids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st JobStatus
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Status != string(stateDone) && st.Status != string(stateFailed) {
+				t.Errorf("admitted job %s is %q after the drain", ids[i], st.Status)
+			}
+		case http.StatusServiceUnavailable:
+			refused++
+		default:
+			t.Errorf("submission %d answered %d, want 202 or 503", i, code)
+		}
+	}
+	if got := s.metrics.jobsAccepted.Load(); got != uint64(accepted) {
+		t.Errorf("jobs_accepted_total %d, want the %d 202s", got, accepted)
+	}
+	if got := scrapeCounter(t, ts.URL, `latteccd_jobs_rejected_total{reason="draining"}`); got != uint64(refused) {
+		t.Errorf(`jobs_rejected_total{reason="draining"} = %d, want the %d 503s`, got, refused)
+	}
+	t.Logf("%d admitted, %d refused", accepted, refused)
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -546,7 +671,7 @@ func TestTimedOutJobLeavesNothingBehind(t *testing.T) {
 // terminal event, or the SSE stream would close without it.
 func TestTerminalStateCarriesEvent(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		j := newJob(fmt.Sprintf("job-%d", i), nil, nil, 0, 0)
+		j := newJob(fmt.Sprintf("job-%d", i), nil, 0, 0)
 		want := "done"
 		go func(i int) {
 			if i%2 == 0 {
