@@ -79,17 +79,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := sim.DefaultConfig()
-	if *quick || *tiny {
-		cfg.NumSMs = 2
-	}
-	if *tiny {
-		// The golden gate wants seconds-per-run, not fidelity: cap every
-		// simulation hard. Numbers at this scale are meaningless; the
-		// point is bit-exact reproducibility across runs and machines.
-		cfg.MaxInstructions = 120_000
-	}
-	suite := harness.NewSuite(cfg)
+	suite := harness.NewSuite(sim.ScaledConfig(*quick, *tiny))
 	suite.Jobs = *jobs
 	if *verbose {
 		suite.Reporter = harness.NewProgressReporter(os.Stderr)

@@ -91,15 +91,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "latteccd: -queue must be >= 1, got %d\n", *queue)
 		os.Exit(2)
 	}
-	cfg := sim.DefaultConfig()
-	if *quick || *tiny {
-		cfg.NumSMs = 2
-	}
-	if *tiny {
-		// Mirror `experiments -tiny` exactly so daemon StateHashes are
-		// comparable against the CLI's golden runs.
-		cfg.MaxInstructions = 120_000
-	}
 
 	// The advertise URL does double duty: it is what the registrar
 	// announces to the router AND the self-exclusion key for the
@@ -110,7 +101,7 @@ func main() {
 	}
 
 	srvCfg := server.Config{
-		BaseConfig:      cfg,
+		BaseConfig:      sim.ScaledConfig(*quick, *tiny),
 		Workers:         *workers,
 		RunJobs:         *jobs,
 		QueueDepth:      *queue,

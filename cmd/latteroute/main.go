@@ -54,16 +54,8 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := sim.DefaultConfig()
-	if *quick || *tiny {
-		cfg.NumSMs = 2
-	}
-	if *tiny {
-		cfg.MaxInstructions = 120_000
-	}
-
 	rt, err := cluster.New(cluster.Config{
-		BaseConfig:     cfg,
+		BaseConfig:     sim.ScaledConfig(*quick, *tiny),
 		Policy:         *policy,
 		MaxInFlight:    *inflight,
 		RetryLimit:     *retries,

@@ -50,22 +50,22 @@ func renderTable(f func(*Suite) (*stats.Table, error)) func(*Suite) (string, err
 func Experiments() []Experiment {
 	exps := []Experiment{
 		{ID: "tab1", Title: "Table I: compression algorithm comparison", Table: tab1Table},
-		{ID: "fig1", Title: "Figure 1: IPC sensitivity to added L1 hit latency", Table: fig1Table, Runs: fig1Runs},
+		fig1().experiment("fig1", "Figure 1: IPC sensitivity to added L1 hit latency"),
 		{ID: "fig2", Title: "Figure 2: compression ratio of inserted L1 lines", Table: fig2Table},
-		{ID: "fig3", Title: "Figure 3: capacity-only speedup upper bound", Table: fig3Table, Runs: fig3Runs},
-		{ID: "fig4", Title: "Figure 4: degradation from decompression latency alone", Table: fig4Table, Runs: fig4Runs},
+		fig3().experiment("fig3", "Figure 3: capacity-only speedup upper bound"),
+		fig4().experiment("fig4", "Figure 4: degradation from decompression latency alone"),
 		{ID: "fig5", Title: "Figure 5: SS latency tolerance over time", Run: fig5, Runs: fig5Runs},
-		{ID: "fig6", Title: "Figure 6: potential performance and energy impact", Table: fig6Table, Runs: fig6Runs},
+		fig6().experiment("fig6", "Figure 6: potential performance and energy impact"),
 		{ID: "tab2", Title: "Table II: simulated baseline configuration", Table: tab2Table},
 		{ID: "tab3", Title: "Table III: benchmarks", Table: tab3Table},
-		{ID: "fig11", Title: "Figure 11: speedup vs baseline (all policies)", Table: fig11Table, Runs: fig11Runs},
-		{ID: "fig12", Title: "Figure 12: L1 miss reduction", Table: fig12Table, Runs: fig11Runs},
-		{ID: "fig13", Title: "Figure 13: normalized GPU energy", Table: fig13Table, Runs: fig13Runs},
+		fig11().experiment("fig11", "Figure 11: speedup vs baseline (all policies)"),
+		fig12().experiment("fig12", "Figure 12: L1 miss reduction"),
+		fig13().experiment("fig13", "Figure 13: normalized GPU energy"),
 		{ID: "fig14", Title: "Figure 14: LATTE-CC energy savings breakdown", Table: fig14Table, Runs: fig14Runs},
 		{ID: "fig15", Title: "Figure 15: LATTE-CC vs Kernel-OPT agreement", Table: fig15Table, Runs: fig15Runs},
 		{ID: "fig16", Title: "Figure 16: SS effective cache capacity over time", Run: fig16, Runs: fig16Runs},
-		{ID: "fig17", Title: "Figure 17: adaptive policy comparison", Table: fig17Table, Runs: fig17Runs},
-		{ID: "fig18", Title: "Figure 18: LATTE-CC with BDI+BPC modes", Table: fig18Table, Runs: fig18Runs},
+		fig17().experiment("fig17", "Figure 17: adaptive policy comparison"),
+		fig18().experiment("fig18", "Figure 18: LATTE-CC with BDI+BPC modes"),
 		{ID: "sens48k", Title: "Section V-E: 48KB L1 sensitivity", Table: sens48KTable},
 		{ID: "writepolicy", Title: "Section IV-C3: write-avoid vs write-through L1", Table: writePolicyTable, Runs: writePolicyRuns},
 		{ID: "sensparams", Title: "LATTE-CC parameter sensitivity (EP length, sampling sets, decompressor)", Table: sensParamsTable, Runs: sensParamsRuns},
@@ -87,6 +87,166 @@ func ExperimentByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// metric normalises a run to its workload's uncompressed baseline.
+type metric int
+
+const (
+	speedup       metric = iota // baseline cycles over the run's cycles
+	missReduction               // relative L1 miss reduction (positive = fewer)
+	energyNorm                  // GPU energy over the baseline's
+)
+
+// column is one figure column: the run of policy under variant, read
+// through metric against the row's baseline. agg folds the column's
+// C-Sens cells into the aggregate row; nil leaves that cell blank.
+type column struct {
+	header  string
+	policy  Policy
+	variant Variant
+	metric  metric
+	agg     func([]float64) float64
+}
+
+// reads lists the runs a cell of c reads on row workload: the baseline,
+// then the column's own run.
+func (c column) reads(workload string) [2]RunRequest {
+	return [2]RunRequest{
+		{Workload: workload, Policy: Uncompressed},
+		{Workload: workload, Policy: c.policy, Variant: c.variant},
+	}
+}
+
+// value computes c's cell on row workload from exactly the runs
+// c.reads lists.
+func (c column) value(s *Suite, workload string) (float64, error) {
+	var res [2]sim.Result
+	for i, r := range c.reads(workload) {
+		var err error
+		if res[i], err = s.Run(r.Workload, r.Policy, r.Variant); err != nil {
+			return 0, err
+		}
+	}
+	base, run := res[0], res[1]
+	switch c.metric {
+	case missReduction:
+		if base.Cache.Misses == 0 {
+			return 0, nil
+		}
+		return 1 - float64(run.Cache.Misses)/float64(base.Cache.Misses), nil
+	case energyNorm:
+		p := energy.DefaultParams()
+		return energy.Normalized(energy.Evaluate(run, p), energy.Evaluate(base, p)), nil
+	}
+	if run.Cycles == 0 {
+		return 0, fmt.Errorf("harness: zero-cycle run for %s/%s", workload, c.policy)
+	}
+	return float64(base.Cycles) / float64(run.Cycles), nil
+}
+
+// matrix is the shape most of the evaluation takes: one row per
+// workload, one normalised cell per column, and an optional aggregate
+// row. The same value renders the table and lists the runs its cells
+// read, so the two cannot drift.
+type matrix struct {
+	rows     func() []string // evaluated late: trace workloads register at startup
+	category bool            // a "cat" column after the workload
+	cols     []column
+	// aggLabel leads the aggregate row (nil: no aggregate row). The row
+	// folds the C-Sens rows, which on the C-Sens-only figures is every row.
+	aggLabel []string
+}
+
+// experiment wraps m as an Experiment whose Table and Runs both come
+// from m.
+func (m matrix) experiment(id, title string) Experiment {
+	return Experiment{ID: id, Title: title, Table: m.table, Runs: m.runs}
+}
+
+// runs lists every run m's cells read, once each, row by row.
+func (m matrix) runs() []RunRequest {
+	var reqs []RunRequest
+	seen := map[RunRequest]bool{}
+	for _, name := range m.rows() {
+		for _, c := range m.cols {
+			for _, r := range c.reads(name) {
+				if !seen[r] {
+					seen[r] = true
+					reqs = append(reqs, r)
+				}
+			}
+		}
+	}
+	return reqs
+}
+
+// table renders m over s.
+func (m matrix) table(s *Suite) (*stats.Table, error) {
+	header := []string{"workload"}
+	if m.category {
+		header = append(header, "cat")
+	}
+	for _, c := range m.cols {
+		header = append(header, c.header)
+	}
+	t := stats.NewTable(header...)
+	csens := make([][]float64, len(m.cols))
+	for _, name := range m.rows() {
+		cat, _ := Category(name)
+		row := []interface{}{name}
+		if m.category {
+			row = append(row, cat.String())
+		}
+		for i, c := range m.cols {
+			v, err := c.value(s, name)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+			if cat == trace.CSens {
+				csens[i] = append(csens[i], v)
+			}
+		}
+		t.AddRow(row...)
+	}
+	if m.aggLabel != nil {
+		var row []interface{}
+		for _, l := range m.aggLabel {
+			row = append(row, l)
+		}
+		for i, c := range m.cols {
+			if c.agg == nil {
+				row = append(row, "")
+			} else {
+				row = append(row, c.agg(csens[i]))
+			}
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// policyCols is one column per policy, headed by its name, under the
+// plain variant.
+func policyCols(m metric, agg func([]float64) float64, pols ...Policy) []column {
+	cols := make([]column, len(pols))
+	for i, p := range pols {
+		cols[i] = column{header: string(p), policy: p, metric: m, agg: agg}
+	}
+	return cols
+}
+
+// cross enumerates names x policies under one variant, in order, for
+// the experiments that list their runs by hand.
+func cross(names []string, pols []Policy, v Variant) []RunRequest {
+	reqs := make([]RunRequest, 0, len(names)*len(pols))
+	for _, n := range names {
+		for _, p := range pols {
+			reqs = append(reqs, RunRequest{Workload: n, Policy: p, Variant: v})
+		}
+	}
+	return reqs
 }
 
 // sampledLines returns up to n data lines a workload's programs touch,
@@ -180,31 +340,19 @@ func tab1Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// fig1Workloads are the example workloads of Figure 1.
-var fig1Workloads = []string{"PRK", "CLR", "MIS", "BC", "FW"}
-
-// fig1Latencies is the swept added hit latency (BDI=2 ... SC=14).
-var fig1Latencies = []uint64{0, 2, 5, 9, 14}
-
-// fig1Table reproduces Figure 1: normalized IPC as L1 hit latency grows.
-func fig1Table(s *Suite) (*stats.Table, error) {
-	header := []string{"workload"}
-	for _, l := range fig1Latencies {
-		header = append(header, fmt.Sprintf("+%d", l))
-	}
-	t := stats.NewTable(header...)
-	for _, name := range fig1Workloads {
-		row := []interface{}{name}
-		for _, lat := range fig1Latencies {
-			spd, err := s.Speedup(name, Uncompressed, Variant{ExtraHitLatency: lat})
-			if err != nil {
-				return nil, err
+// fig1 reproduces Figure 1: normalized IPC as L1 hit latency grows, on
+// its example workloads, over the swept added hit latency (BDI=2 ...
+// SC=14).
+func fig1() matrix {
+	return matrix{
+		rows: func() []string { return []string{"PRK", "CLR", "MIS", "BC", "FW"} },
+		cols: func() (cols []column) {
+			for _, lat := range []uint64{0, 2, 5, 9, 14} {
+				cols = append(cols, column{header: fmt.Sprintf("+%d", lat), policy: Uncompressed, variant: Variant{ExtraHitLatency: lat}})
 			}
-			row = append(row, spd)
-		}
-		t.AddRow(row...)
+			return cols
+		}(),
 	}
-	return t, nil
 }
 
 // fig2Table reproduces Figure 2: per-workload compression ratio under the five
@@ -233,48 +381,31 @@ func fig2Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// fig3Table reproduces Figure 3: speedup upper bound when compression's
+// fig3 reproduces Figure 3: speedup upper bound when compression's
 // capacity is free (zero decompression latency).
-func fig3Table(s *Suite) (*stats.Table, error) {
-	t := stats.NewTable("workload", "cat", "BDI-cap-only", "SC-cap-only")
-	var bdis, scs []float64
-	for _, name := range Workloads() {
-		cat, _ := Category(name)
-		b, err := s.Speedup(name, StaticBDI, Variant{CapacityOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		c, err := s.Speedup(name, StaticSC, Variant{CapacityOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		if cat == trace.CSens {
-			bdis = append(bdis, b)
-			scs = append(scs, c)
-		}
-		t.AddRow(name, cat.String(), b, c)
+func fig3() matrix {
+	return matrix{
+		rows:     Workloads,
+		category: true,
+		cols: []column{
+			{header: "BDI-cap-only", policy: StaticBDI, variant: Variant{CapacityOnly: true}, agg: stats.Geomean},
+			{header: "SC-cap-only", policy: StaticSC, variant: Variant{CapacityOnly: true}, agg: stats.Geomean},
+		},
+		aggLabel: []string{"GEOMEAN(C-Sens)", ""},
 	}
-	t.AddRow("GEOMEAN(C-Sens)", "", stats.Geomean(bdis), stats.Geomean(scs))
-	return t, nil
 }
 
-// fig4Table reproduces Figure 4: slowdown when decompression latency applies
+// fig4 reproduces Figure 4: slowdown when decompression latency applies
 // but capacity does not.
-func fig4Table(s *Suite) (*stats.Table, error) {
-	t := stats.NewTable("workload", "cat", "BDI-lat-only", "SC-lat-only")
-	for _, name := range Workloads() {
-		cat, _ := Category(name)
-		b, err := s.Speedup(name, StaticBDI, Variant{LatencyOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		c, err := s.Speedup(name, StaticSC, Variant{LatencyOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, cat.String(), b, c)
+func fig4() matrix {
+	return matrix{
+		rows:     Workloads,
+		category: true,
+		cols: []column{
+			{header: "BDI-lat-only", policy: StaticBDI, variant: Variant{LatencyOnly: true}},
+			{header: "SC-lat-only", policy: StaticSC, variant: Variant{LatencyOnly: true}},
+		},
 	}
-	return t, nil
 }
 
 // fig5 reproduces Figure 5: SS's latency-tolerance estimate over time.
@@ -294,31 +425,24 @@ func fig5(s *Suite) (string, error) {
 	return b.String(), nil
 }
 
-// fig6Table reproduces Figure 6: potential performance (a) and energy (b)
+func fig5Runs() []RunRequest {
+	return []RunRequest{{Workload: "SS", Policy: LatteCC, Variant: Variant{SampleSeries: true}}}
+}
+
+// fig6 reproduces Figure 6: potential performance (a) and energy (b)
 // impact of Static-BDI, Static-SC, and the adaptive scheme, C-Sens.
-func fig6Table(s *Suite) (*stats.Table, error) {
-	t := stats.NewTable("workload", "BDI-spd", "SC-spd", "LATTE-spd", "BDI-energy", "SC-energy", "LATTE-energy")
-	p := energy.DefaultParams()
-	for _, name := range CSensNames() {
-		base, err := s.Run(name, Uncompressed, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		eb := energy.Evaluate(base, p)
-		row := []interface{}{name}
-		var spd, en []float64
-		for _, pol := range []Policy{StaticBDI, StaticSC, LatteCC} {
-			r, err := s.Run(name, pol, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			spd = append(spd, float64(base.Cycles)/float64(r.Cycles))
-			en = append(en, energy.Normalized(energy.Evaluate(r, p), eb))
-		}
-		row = append(row, spd[0], spd[1], spd[2], en[0], en[1], en[2])
-		t.AddRow(row...)
+func fig6() matrix {
+	return matrix{
+		rows: CSensNames,
+		cols: []column{
+			{header: "BDI-spd", policy: StaticBDI},
+			{header: "SC-spd", policy: StaticSC},
+			{header: "LATTE-spd", policy: LatteCC},
+			{header: "BDI-energy", policy: StaticBDI, metric: energyNorm},
+			{header: "SC-energy", policy: StaticSC, metric: energyNorm},
+			{header: "LATTE-energy", policy: LatteCC, metric: energyNorm},
+		},
 	}
-	return t, nil
 }
 
 // tab2Table prints the simulated configuration (Table II).
@@ -363,108 +487,36 @@ func tab3Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
-// fig11Policies is the Figure 11 policy set.
-var fig11Policies = []Policy{StaticBDI, StaticSC, LatteCC, KernelOpt}
-
-// fig11Table reproduces Figure 11: speedup over the uncompressed baseline.
-func fig11Table(s *Suite) (*stats.Table, error) {
-	header := []string{"workload", "cat"}
-	for _, p := range fig11Policies {
-		header = append(header, string(p))
+// fig11 reproduces Figure 11: speedup over the uncompressed baseline.
+// The Kernel-OPT prerequisites (the three statics) are among its runs,
+// so they parallelize as peer tasks.
+func fig11() matrix {
+	return matrix{
+		rows:     Workloads,
+		category: true,
+		cols:     policyCols(speedup, stats.Geomean, StaticBDI, StaticSC, LatteCC, KernelOpt),
+		aggLabel: []string{"GEOMEAN", "C-Sens"},
 	}
-	t := stats.NewTable(header...)
-	agg := map[Policy][]float64{}
-	for _, name := range Workloads() {
-		cat, _ := Category(name)
-		row := []interface{}{name, cat.String()}
-		for _, p := range fig11Policies {
-			spd, err := s.Speedup(name, p, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, spd)
-			if cat == trace.CSens {
-				agg[p] = append(agg[p], spd)
-			}
-		}
-		t.AddRow(row...)
-	}
-	row := []interface{}{"GEOMEAN", "C-Sens"}
-	for _, p := range fig11Policies {
-		row = append(row, stats.Geomean(agg[p]))
-	}
-	t.AddRow(row...)
-	return t, nil
 }
 
-// fig12Table reproduces Figure 12: L1 miss reduction per policy.
-func fig12Table(s *Suite) (*stats.Table, error) {
-	header := []string{"workload", "cat"}
-	for _, p := range fig11Policies {
-		header = append(header, string(p))
+// fig12 reproduces Figure 12: L1 miss reduction per policy.
+func fig12() matrix {
+	return matrix{
+		rows:     Workloads,
+		category: true,
+		cols:     policyCols(missReduction, stats.Mean, StaticBDI, StaticSC, LatteCC, KernelOpt),
+		aggLabel: []string{"MEAN", "C-Sens"},
 	}
-	t := stats.NewTable(header...)
-	agg := map[Policy][]float64{}
-	for _, name := range Workloads() {
-		cat, _ := Category(name)
-		row := []interface{}{name, cat.String()}
-		for _, p := range fig11Policies {
-			mr, err := s.MissReduction(name, p)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, mr)
-			if cat == trace.CSens {
-				agg[p] = append(agg[p], mr)
-			}
-		}
-		t.AddRow(row...)
-	}
-	row := []interface{}{"MEAN", "C-Sens"}
-	for _, p := range fig11Policies {
-		row = append(row, stats.Mean(agg[p]))
-	}
-	t.AddRow(row...)
-	return t, nil
 }
 
-// fig13Table reproduces Figure 13: GPU energy normalized to the baseline.
-func fig13Table(s *Suite) (*stats.Table, error) {
-	pols := []Policy{StaticBDI, StaticSC, LatteCC}
-	header := []string{"workload", "cat"}
-	for _, p := range pols {
-		header = append(header, string(p))
+// fig13 reproduces Figure 13: GPU energy normalized to the baseline.
+func fig13() matrix {
+	return matrix{
+		rows:     Workloads,
+		category: true,
+		cols:     policyCols(energyNorm, stats.Mean, StaticBDI, StaticSC, LatteCC),
+		aggLabel: []string{"MEAN", "C-Sens"},
 	}
-	t := stats.NewTable(header...)
-	params := energy.DefaultParams()
-	agg := map[Policy][]float64{}
-	for _, name := range Workloads() {
-		cat, _ := Category(name)
-		baseRun, err := s.Run(name, Uncompressed, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		base := energy.Evaluate(baseRun, params)
-		row := []interface{}{name, cat.String()}
-		for _, p := range pols {
-			r, err := s.Run(name, p, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			e := energy.Normalized(energy.Evaluate(r, params), base)
-			row = append(row, e)
-			if cat == trace.CSens {
-				agg[p] = append(agg[p], e)
-			}
-		}
-		t.AddRow(row...)
-	}
-	row := []interface{}{"MEAN", "C-Sens"}
-	for _, p := range pols {
-		row = append(row, stats.Mean(agg[p]))
-	}
-	t.AddRow(row...)
-	return t, nil
 }
 
 // fig14Table reproduces Figure 14: the breakdown of LATTE-CC's energy savings
@@ -491,6 +543,10 @@ func fig14Table(s *Suite) (*stats.Table, error) {
 	mean := sums.Scale(1 / float64(n))
 	t.AddRow("MEAN", mean.Static, mean.DataMovement, mean.MemHierarchy, mean.Exec, mean.CodecCost, mean.Net)
 	return t, nil
+}
+
+func fig14Runs() []RunRequest {
+	return cross(CSensNames(), []Policy{Uncompressed, LatteCC}, Variant{})
 }
 
 // fig15Table reproduces Figure 15: fraction of execution where LATTE-CC's
@@ -537,6 +593,10 @@ func fig15Table(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
+func fig15Runs() []RunRequest {
+	return cross(CSensNames(), []Policy{Uncompressed, StaticBDI, StaticSC, LatteCC, KernelOpt}, Variant{})
+}
+
 // fig16 reproduces Figure 16: SS's effective cache capacity over time for
 // Static-BDI, Static-SC, and LATTE-CC.
 func fig16(s *Suite) (string, error) {
@@ -570,87 +630,57 @@ func fig16(s *Suite) (string, error) {
 	return b.String(), nil
 }
 
-// fig17Table reproduces Figure 17: LATTE-CC against the tolerance-blind
+func fig16Runs() []RunRequest {
+	return cross([]string{"SS"}, []Policy{StaticBDI, StaticSC, LatteCC}, Variant{SampleSeries: true})
+}
+
+// fig17 reproduces Figure 17: LATTE-CC against the tolerance-blind
 // adaptive baselines, C-Sens workloads.
-func fig17Table(s *Suite) (*stats.Table, error) {
-	pols := []Policy{AdaptiveHits, AdaptiveCMP, LatteCC}
-	header := []string{"workload"}
-	for _, p := range pols {
-		header = append(header, string(p)+"-spd", string(p)+"-missred")
-	}
-	t := stats.NewTable(header...)
-	agg := map[Policy][]float64{}
-	for _, name := range CSensNames() {
-		row := []interface{}{name}
-		for _, p := range pols {
-			spd, err := s.Speedup(name, p, Variant{})
-			if err != nil {
-				return nil, err
+func fig17() matrix {
+	return matrix{
+		rows: CSensNames,
+		cols: func() (cols []column) {
+			for _, p := range []Policy{AdaptiveHits, AdaptiveCMP, LatteCC} {
+				cols = append(cols,
+					column{header: string(p) + "-spd", policy: p, agg: stats.Geomean},
+					column{header: string(p) + "-missred", policy: p, metric: missReduction})
 			}
-			mr, err := s.MissReduction(name, p)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, spd, mr)
-			agg[p] = append(agg[p], spd)
-		}
-		t.AddRow(row...)
+			return cols
+		}(),
+		aggLabel: []string{"GEOMEAN"},
 	}
-	row := []interface{}{"GEOMEAN"}
-	for _, p := range pols {
-		row = append(row, stats.Geomean(agg[p]), "")
-	}
-	t.AddRow(row...)
-	return t, nil
 }
 
-// fig18Table reproduces Figure 18: LATTE-CC with BDI+BPC component codecs.
-func fig18Table(s *Suite) (*stats.Table, error) {
-	t := stats.NewTable("workload", "LATTE-CC", "LATTE-CC-BDI-BPC")
-	var a, b []float64
-	for _, name := range CSensNames() {
-		l, err := s.Speedup(name, LatteCC, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		bp, err := s.Speedup(name, LatteBDIBPC, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		a = append(a, l)
-		b = append(b, bp)
-		t.AddRow(name, l, bp)
+// fig18 reproduces Figure 18: LATTE-CC with BDI+BPC component codecs.
+func fig18() matrix {
+	return matrix{
+		rows:     CSensNames,
+		cols:     policyCols(speedup, stats.Geomean, LatteCC, LatteBDIBPC),
+		aggLabel: []string{"GEOMEAN"},
 	}
-	t.AddRow("GEOMEAN", stats.Geomean(a), stats.Geomean(b))
-	return t, nil
 }
 
-// sens48KTable reproduces the Section V-E cache-size sensitivity: the same
-// comparison with a 48KB L1 (the alternative NVIDIA carve-out).
+// sens48K is the Section V-E cache-size sensitivity: the same comparison
+// with a 48KB L1 (the alternative NVIDIA carve-out).
+func sens48K() matrix {
+	return matrix{
+		rows:     CSensNames,
+		cols:     policyCols(speedup, stats.Geomean, StaticBDI, LatteCC),
+		aggLabel: []string{"GEOMEAN"},
+	}
+}
+
+// sens48KTable renders sens48K on a child suite with a 48KB L1.
 func sens48KTable(s *Suite) (*stats.Table, error) {
 	cfg := s.Config()
 	cfg.Cache.SizeBytes = 48 * 1024
 	big := s.child(cfg)
-	big.Prefetch(cross(CSensNames(), []Policy{Uncompressed, StaticBDI, LatteCC}, Variant{})...)
+	m := sens48K()
+	big.Prefetch(m.runs()...)
 	if err := big.RunAll(); err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("workload", "Static-BDI", "LATTE-CC")
-	var bs, ls []float64
-	for _, name := range CSensNames() {
-		b, err := big.Speedup(name, StaticBDI, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		l, err := big.Speedup(name, LatteCC, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		bs, ls = append(bs, b), append(ls, l)
-		t.AddRow(name, b, l)
-	}
-	t.AddRow("GEOMEAN", stats.Geomean(bs), stats.Geomean(ls))
-	return t, nil
+	return m.table(big)
 }
 
 // writePolicyWorkloads are the store-carrying benchmarks of the
@@ -722,6 +752,13 @@ func writePolicyTable(s *Suite) (*stats.Table, error) {
 	return t, nil
 }
 
+// writePolicyRuns covers the default-machine half of the write-policy
+// study; the write-through half runs on a child suite the experiment
+// prefetches internally.
+func writePolicyRuns() []RunRequest {
+	return cross(writePolicyWorkloads, []Policy{Uncompressed, LatteCC}, Variant{})
+}
+
 // sensParamsTable sweeps LATTE-CC's own parameters (Section IV-C3 choices) on
 // SS: the EP length, the number of dedicated sampling sets, and the
 // decompressor initiation interval.
@@ -760,6 +797,10 @@ func sensParamsTable(s *Suite) (*stats.Table, error) {
 		t.AddRow("decompressor II (cycles)", ii, latteSpeedup(cfg, nil))
 	}
 	return t, nil
+}
+
+func sensParamsRuns() []RunRequest {
+	return []RunRequest{{Workload: "SS", Policy: Uncompressed, Variant: Variant{}}}
 }
 
 // ablationWorkloads pick a representative C-Sens pair (one SC-affine,
@@ -861,6 +902,10 @@ func ablation(s *Suite) (string, error) {
 
 	b.WriteString(t.String())
 	return b.String(), nil
+}
+
+func ablationRuns() []RunRequest {
+	return cross(ablationWorkloads, []Policy{Uncompressed, LatteCC}, Variant{})
 }
 
 // latteVariantSpeedup runs a workload under a LATTE-CC controller with a

@@ -425,39 +425,15 @@ func oracleSchedule(run func(Policy) (sim.Result, error)) ([]modes.Mode, error) 
 }
 
 // Speedup returns policy p's speedup over the uncompressed baseline for a
-// workload (same variant for both runs).
+// workload (the baseline runs the plain variant).
 func (s *Suite) Speedup(workloadName string, p Policy, v Variant) (float64, error) {
-	base, err := s.Run(workloadName, Uncompressed, Variant{
-		ExtraHitLatency: 0, SampleSeries: false,
-	})
-	if err != nil {
-		return 0, err
-	}
-	run, err := s.Run(workloadName, p, v)
-	if err != nil {
-		return 0, err
-	}
-	if run.Cycles == 0 {
-		return 0, fmt.Errorf("harness: zero-cycle run for %s/%s", workloadName, p)
-	}
-	return float64(base.Cycles) / float64(run.Cycles), nil
+	return column{policy: p, variant: v}.value(s, workloadName)
 }
 
 // MissReduction returns the relative L1 miss reduction of policy p vs the
 // baseline (positive = fewer misses).
 func (s *Suite) MissReduction(workloadName string, p Policy) (float64, error) {
-	base, err := s.Run(workloadName, Uncompressed, Variant{})
-	if err != nil {
-		return 0, err
-	}
-	run, err := s.Run(workloadName, p, Variant{})
-	if err != nil {
-		return 0, err
-	}
-	if base.Cache.Misses == 0 {
-		return 0, nil
-	}
-	return 1 - float64(run.Cache.Misses)/float64(base.Cache.Misses), nil
+	return column{policy: p, metric: missReduction}.value(s, workloadName)
 }
 
 // RunWorkload simulates a custom workload under a policy on the given

@@ -348,6 +348,9 @@ func TestEveryExperimentRendersOnTinyMachine(t *testing.T) {
 	// hard instruction cap: each must produce plausible output without
 	// panicking. Numbers are meaningless at this scale — the full-machine
 	// results live in experiments_output.txt — but every code path runs.
+	// An experiment with Runs must declare every run it renders from:
+	// once they are prefetched, rendering simulates nothing more on the
+	// suite.
 	if testing.Short() {
 		t.Skip("runs every experiment (minutes)")
 	}
@@ -357,9 +360,19 @@ func TestEveryExperimentRendersOnTinyMachine(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			if e.Runs != nil {
+				s.Prefetch(e.Runs()...)
+				if err := s.RunAll(); err != nil {
+					t.Fatalf("%s runs: %v", e.ID, err)
+				}
+			}
+			sims := s.Simulations()
 			out, err := e.Run(s)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
+			}
+			if e.Runs != nil && s.Simulations() != sims {
+				t.Fatalf("%s rendered from %d runs its Runs does not list", e.ID, s.Simulations()-sims)
 			}
 			if len(out) < 40 {
 				t.Fatalf("%s output suspiciously short: %q", e.ID, out)
@@ -381,11 +394,7 @@ func TestEveryExperimentRendersOnTinyMachine(t *testing.T) {
 }
 
 // tinyConfig is the CI golden-gate machine: 2 SMs, 120k-instruction cap.
-func tinyConfig() sim.Config {
-	cfg := quickConfig()
-	cfg.MaxInstructions = 120_000
-	return cfg
-}
+func tinyConfig() sim.Config { return sim.ScaledConfig(false, true) }
 
 func TestExperimentsReturnErrorsOnFailedRuns(t *testing.T) {
 	// A config that fails sim.Config.Validate makes every simulation

@@ -18,7 +18,7 @@ func TestParallelMatchesSerialFig11(t *testing.T) {
 	cfg := quickConfig()
 	cfg.MaxInstructions = raceScaled(60_000) // fidelity is irrelevant here; equality is the point
 
-	reqs := fig11Runs()
+	reqs := fig11().runs()
 	pass := func(jobs int) (map[string]uint64, string) {
 		s := NewSuite(cfg)
 		s.Jobs = jobs
@@ -34,7 +34,7 @@ func TestParallelMatchesSerialFig11(t *testing.T) {
 			}
 			hashes[r.Workload+"/"+string(r.Policy)] = res.StateHash()
 		}
-		tab, err := fig11Table(s)
+		tab, err := fig11().table(s)
 		if err != nil {
 			t.Fatalf("jobs=%d fig11 table: %v", jobs, err)
 		}

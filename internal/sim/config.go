@@ -102,6 +102,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// ScaledConfig is DefaultConfig shrunk the way the CLIs' -quick and
+// -tiny flags shrink it: either drops the machine to 2 SMs, and tiny
+// also caps every run at 120k warp instructions (the golden-gate
+// machine: seconds per run, bit-exact across runs and machines, numbers
+// meaningless at this scale). experiments, latteccd and latteroute all
+// build their machine here, because the daemons' StateHashes match the
+// CLI's golden runs only while the three agree.
+func ScaledConfig(quick, tiny bool) Config {
+	cfg := DefaultConfig()
+	if quick || tiny {
+		cfg.NumSMs = 2
+	}
+	if tiny {
+		cfg.MaxInstructions = 120_000
+	}
+	return cfg
+}
+
 // Validate panics on inconsistent configurations.
 func (c Config) Validate() {
 	if c.NumSMs <= 0 || c.MaxWarpsPerSM <= 0 || c.MaxBlocksPerSM <= 0 ||
@@ -164,6 +182,14 @@ func (c Config) Fingerprint() uint64 {
 		h.Byte(0)
 	}
 	h.Uint64(c.SampleEvery)
+	// Folded only when set, each under its own tag, so a machine with
+	// all three off keeps the fingerprint primed result stores and the
+	// cluster's ring placement already key it by.
+	for i, on := range []bool{c.Cache.UnboundedDecompressor, c.Cache.CapacityOnly, c.Cache.LatencyOnly} {
+		if on {
+			h.Byte(byte(1 + i))
+		}
+	}
 	return h.Sum()
 }
 
