@@ -29,27 +29,58 @@ import (
 	"lattecc/internal/tracefile"
 )
 
-// params maps sweepable parameter names to config mutators.
+// params maps sweepable parameter names to config mutators. min is the
+// smallest value the simulator can be built with; sweep rejects smaller
+// ones before the first run.
 var params = map[string]struct {
 	desc  string
+	min   int
 	apply func(cfg *sim.Config, v int)
 }{
-	"sms": {"number of SMs",
+	"sms": {"number of SMs", 1,
 		func(c *sim.Config, v int) { c.NumSMs = v }},
-	"l1kb": {"L1 data cache size in KB",
+	"l1kb": {"L1 data cache size in KB", 1,
 		func(c *sim.Config, v int) { c.Cache.SizeBytes = v * 1024 }},
-	"l1ports": {"LSU transactions per cycle",
+	"l1ports": {"LSU transactions per cycle", 1,
 		func(c *sim.Config, v int) { c.L1Ports = v }},
-	"mshrs": {"outstanding misses per SM",
+	"mshrs": {"outstanding misses per SM", 1,
 		func(c *sim.Config, v int) { c.MSHRs = v }},
-	"decomp-ii": {"decompressor initiation interval (cycles)",
+	"decomp-ii": {"decompressor initiation interval (cycles)", 0,
 		func(c *sim.Config, v int) { c.Cache.DecompInitInterval = uint64(v) }},
-	"extra-hit-latency": {"added L1 hit latency (cycles)",
+	"extra-hit-latency": {"added L1 hit latency (cycles)", 0,
 		func(c *sim.Config, v int) { c.Cache.ExtraHitLatency = uint64(v) }},
-	"warps": {"max warps per SM",
+	"warps": {"max warps per SM", 1,
 		func(c *sim.Config, v int) { c.MaxWarpsPerSM = v }},
-	"l2kb": {"L2 size in KB",
+	"l2kb": {"L2 size in KB", minL2KB(),
 		func(c *sim.Config, v int) { c.Mem.L2SizeBytes = v * 1024 }},
+}
+
+// minL2KB is the smallest whole-KB L2 holding one set in every bank of
+// the default machine.
+func minL2KB() int {
+	m := sim.DefaultConfig().Mem
+	return (m.LineSize*m.L2Ways*m.L2Banks + 1023) / 1024
+}
+
+// parseValues parses a -values list for param, rejecting any value below
+// the parameter's minimum.
+func parseValues(param, list string) ([]int, error) {
+	p, ok := params[param]
+	if !ok {
+		return nil, fmt.Errorf("unknown parameter %q (use -list-params)", param)
+	}
+	var vals []int
+	for _, f := range strings.Split(list, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad value %q: %v", f, err)
+		}
+		if v < p.min {
+			return nil, fmt.Errorf("-param %s needs values >= %d, got %d", param, p.min, v)
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
 }
 
 func main() {
@@ -87,24 +118,12 @@ func main() {
 		return
 	}
 
-	p, ok := params[*param]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "sweep: unknown parameter %q (use -list-params)\n", *param)
+	vals, err := parseValues(*param, *values)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
-	var vals []int
-	for _, f := range strings.Split(*values, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: bad value %q: %v\n", f, err)
-			os.Exit(2)
-		}
-		vals = append(vals, v)
-	}
-	if len(vals) == 0 {
-		fmt.Fprintln(os.Stderr, "sweep: no values given")
-		os.Exit(2)
-	}
+	p := params[*param]
 	var names []string
 	for _, n := range strings.Split(*workloads, ",") {
 		names = append(names, strings.TrimSpace(n))

@@ -71,6 +71,31 @@ type Config struct {
 	DecompBufferEntries int
 }
 
+// FreshCodecs returns a new codec array matching c.Codecs, so each
+// cache gets independent SC state. Stateless codecs could be shared,
+// but SC carries a VFT and code book per cache.
+func (c Config) FreshCodecs() [modes.NumModes]compress.Codec {
+	var out [modes.NumModes]compress.Codec
+	for m, codec := range c.Codecs {
+		switch codec.(type) {
+		case nil:
+		case *compress.SC:
+			out[m] = compress.NewSC()
+		case *compress.BDI:
+			out[m] = compress.NewBDI()
+		case *compress.BPC:
+			out[m] = compress.NewBPC()
+		case *compress.FPC:
+			out[m] = compress.NewFPC()
+		case *compress.CPACK:
+			out[m] = compress.NewCPACK()
+		default:
+			out[m] = codec
+		}
+	}
+	return out
+}
+
 // Stats counts cache events.
 type Stats struct {
 	Accesses         uint64
@@ -658,6 +683,11 @@ func (c *Cache) evictLRUExcept(s *set, keep int) bool {
 	c.stats.Evictions++
 	return true
 }
+
+// TrainsHighCap reports whether the high-capacity codec learns from
+// line data, so a caller can skip fetching data TrainHighCap would
+// discard.
+func (c *Cache) TrainsHighCap() bool { return c.highCapTrainer() != nil }
 
 // TrainHighCap feeds line data into the high-capacity codec's
 // value-frequency table. The cache already trains on every fill; the SM

@@ -176,8 +176,11 @@ func (s *Suite) Fingerprint() uint64 { return s.fp }
 // Config returns the suite's base configuration.
 func (s *Suite) Config() sim.Config { return s.cfg }
 
-// Simulations returns how many simulations actually executed on this
-// suite; cache hits and single-flight waiters do not count.
+// Simulations returns how many Run calls produced a fresh result on
+// this suite: every executed simulation, plus every Kernel-OPT run whose
+// schedule names one mode for every kernel, which is served as a
+// relabelled copy of that static run instead (see kernelOpt). Cache
+// hits and single-flight waiters do not count.
 func (s *Suite) Simulations() uint64 { return s.sims.Load() }
 
 // CacheHits returns how many Run calls were served from the in-memory
@@ -339,14 +342,6 @@ func (s *Suite) simulate(workloadName string, p Policy, v Variant) (res sim.Resu
 		return sim.Result{}, err
 	}
 
-	var schedule []modes.Mode
-	if p == KernelOpt {
-		schedule, err = s.kernelOptSchedule(workloadName, v)
-		if err != nil {
-			return sim.Result{}, err
-		}
-	}
-
 	cfg := s.cfg
 	cfg.Cache.CapacityOnly = v.CapacityOnly
 	cfg.Cache.LatencyOnly = v.LatencyOnly
@@ -354,7 +349,10 @@ func (s *Suite) simulate(workloadName string, p Policy, v Variant) (res sim.Resu
 	if v.SampleSeries {
 		cfg.SampleEvery = 512
 	}
-	return simulateOn(cfg, w, p, schedule)
+	if p == KernelOpt {
+		return kernelOpt(cfg, w, func(st Policy) (sim.Result, error) { return s.Run(workloadName, st, v) })
+	}
+	return simulateOn(cfg, w, p, nil)
 }
 
 // simulateOn runs w under p on cfg, uncached; schedule is Kernel-OPT's
@@ -367,6 +365,25 @@ func simulateOn(cfg sim.Config, w trace.Workload, p Policy, schedule []modes.Mod
 	res := sim.New(cfg, w, factory).Run()
 	res.Policy = string(p)
 	return res, nil
+}
+
+// kernelOpt runs w under Kernel-OPT on cfg, reading the three static
+// runs through run. When every kernel picks the same mode, Kernel-OPT
+// is that mode's static policy — policy.Scheduled then makes exactly
+// policy.Static's insert decisions and code-book directives — so the
+// static run, copied and relabelled, is the result and nothing is
+// simulated. A mixed schedule is simulated.
+func kernelOpt(cfg sim.Config, w trace.Workload, run func(Policy) (sim.Result, error)) (sim.Result, error) {
+	schedule, same, err := oracleSchedule(run)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if same != nil {
+		res := same.Clone()
+		res.Policy = string(KernelOpt)
+		return res, nil
+	}
+	return simulateOn(cfg, w, KernelOpt, schedule)
 }
 
 // MustRun is Run, panicking on error (tests, where the workload/policy
@@ -382,46 +399,57 @@ func (s *Suite) MustRun(workloadName string, p Policy, v Variant) sim.Result {
 // kernelOptSchedule is oracleSchedule over the suite's cached static
 // runs of the workload under variant v.
 func (s *Suite) kernelOptSchedule(workloadName string, v Variant) ([]modes.Mode, error) {
-	return oracleSchedule(func(p Policy) (sim.Result, error) { return s.Run(workloadName, p, v) })
+	schedule, _, err := oracleSchedule(func(p Policy) (sim.Result, error) { return s.Run(workloadName, p, v) })
+	return schedule, err
+}
+
+// oracleStatics are the static policies Kernel-OPT chooses among, with
+// the mode each applies.
+var oracleStatics = []struct {
+	p Policy
+	m modes.Mode
+}{
+	{Uncompressed, modes.None},
+	{StaticBDI, modes.LowLat},
+	{StaticSC, modes.HighCap},
 }
 
 // oracleSchedule builds the Kernel-OPT per-kernel schedule: run the
 // workload once per static mode through run, then pick, for every
-// kernel, the mode with the fewest cycles (Section V-B).
-func oracleSchedule(run func(Policy) (sim.Result, error)) ([]modes.Mode, error) {
-	statics := []struct {
-		p Policy
-		m modes.Mode
-	}{
-		{Uncompressed, modes.None},
-		{StaticBDI, modes.LowLat},
-		{StaticSC, modes.HighCap},
-	}
+// kernel, the mode with the fewest cycles (Section V-B). same is the
+// static run whose mode every kernel picked, or nil when the schedule
+// mixes modes.
+func oracleSchedule(run func(Policy) (sim.Result, error)) (schedule []modes.Mode, same *sim.Result, err error) {
 	var runs []sim.Result
-	for _, st := range statics {
+	for _, st := range oracleStatics {
 		r, err := run(st.p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		runs = append(runs, r)
 	}
 	nk := len(runs[0].Kernels)
-	schedule := make([]modes.Mode, 0, nk)
+	schedule = make([]modes.Mode, 0, nk)
 	for ki := 0; ki < nk; ki++ {
-		best := modes.None
+		best := -1
 		bestCycles := ^uint64(0)
-		for si, st := range statics {
+		for si := range oracleStatics {
 			if ki >= len(runs[si].Kernels) {
 				continue
 			}
 			if c := runs[si].Kernels[ki].Cycles; c < bestCycles {
 				bestCycles = c
-				best = st.m
+				best = si
 			}
 		}
-		schedule = append(schedule, best)
+		schedule = append(schedule, oracleStatics[best].m)
+		if ki == 0 {
+			same = &runs[best]
+		} else if same != &runs[best] {
+			same = nil
+		}
 	}
-	return schedule, nil
+	return schedule, same, nil
 }
 
 // Speedup returns policy p's speedup over the uncompressed baseline for a
@@ -441,14 +469,10 @@ func (s *Suite) MissReduction(workloadName string, p Policy) (float64, error) {
 // Kernel-OPT is supported: the three static runs execute first.
 func RunWorkload(cfg sim.Config, w trace.Workload, p Policy) (res sim.Result, err error) {
 	defer recoverSim(&err)
-	var schedule []modes.Mode
 	if p == KernelOpt {
-		schedule, err = oracleSchedule(func(st Policy) (sim.Result, error) { return simulateOn(cfg, w, st, nil) })
-		if err != nil {
-			return sim.Result{}, err
-		}
+		return kernelOpt(cfg, w, func(st Policy) (sim.Result, error) { return simulateOn(cfg, w, st, nil) })
 	}
-	return simulateOn(cfg, w, p, schedule)
+	return simulateOn(cfg, w, p, nil)
 }
 
 // ReplayTrace replays a recorded L1 access trace through cfg's

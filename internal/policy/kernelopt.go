@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"lattecc/internal/core"
 	"lattecc/internal/modes"
 )
@@ -16,11 +18,9 @@ type Scheduled struct {
 	name     string
 	schedule []modes.Mode
 	kernel   int
-
-	// High-capacity code-book maintenance, as in Static.
-	epLen     uint64
-	epsPerPer uint64
-	accesses  uint64
+	// Only a schedule that names HighCap keeps the high-capacity code
+	// book, so a schedule of one mode makes exactly Static's directives.
+	codeBook
 }
 
 var _ modes.Controller = (*Scheduled)(nil)
@@ -31,7 +31,11 @@ func NewScheduled(name string, schedule []modes.Mode, epLen, epsPerPeriod uint64
 	if len(schedule) == 0 {
 		schedule = []modes.Mode{modes.None}
 	}
-	return &Scheduled{name: name, schedule: schedule, epLen: epLen, epsPerPer: epsPerPeriod}
+	return &Scheduled{
+		name:     name,
+		schedule: schedule,
+		codeBook: codeBook{epLen: epLen, epsPerPer: epsPerPeriod, needsHC: slices.Contains(schedule, modes.HighCap)},
+	}
 }
 
 // Name implements modes.Controller.
@@ -51,25 +55,6 @@ func (s *Scheduled) CurrentMode() modes.Mode {
 
 // InsertMode implements modes.Controller.
 func (s *Scheduled) InsertMode(int) modes.Mode { return s.CurrentMode() }
-
-// RecordAccess implements modes.Controller, maintaining the high-capacity
-// code book on the same period cadence as the other policies.
-func (s *Scheduled) RecordAccess(int, bool, modes.Mode, uint64, uint64) modes.Directive {
-	s.accesses++
-	if s.accesses == s.epLen {
-		return modes.Directive{RebuildHighCap: true}
-	}
-	if s.accesses%(s.epLen*s.epsPerPer) == 0 {
-		return modes.Directive{FlushHighCap: true, RebuildHighCap: true}
-	}
-	return modes.Directive{}
-}
-
-// RecordMissLatency implements modes.Controller (unused).
-func (s *Scheduled) RecordMissLatency(uint64) {}
-
-// RecordTolerance implements modes.Controller (unused).
-func (s *Scheduled) RecordTolerance(float64) {}
 
 // NewAdaptiveHitCount returns the Figure 17 Adaptive-Hit-Count baseline:
 // LATTE-CC's sampling machinery with a decision that only maximizes hit

@@ -104,6 +104,33 @@ func TestScheduledMaintainsCodeBook(t *testing.T) {
 	}
 }
 
+func TestScheduledWithoutHighCapNeverDirects(t *testing.T) {
+	s := NewScheduled("ko", []modes.Mode{modes.None, modes.LowLat}, 4, 2)
+	if s.UsesHighCap() {
+		t.Fatal("a schedule without HighCap must not claim the high-capacity codec")
+	}
+	for ki := 0; ki < 2; ki++ {
+		s.KernelStart(ki)
+		for i := 0; i < 100; i++ {
+			d := s.RecordAccess(0, true, modes.LowLat, 0, uint64(i))
+			if d.FlushHighCap || d.RebuildHighCap || len(d.FlushMismatch) > 0 {
+				t.Fatalf("kernel %d: schedule without HighCap issued directive %+v", ki, d)
+			}
+		}
+	}
+}
+
+func TestUsesHighCap(t *testing.T) {
+	for _, m := range modes.All() {
+		if got, want := NewStatic(m, "s", 4, 2).UsesHighCap(), m == modes.HighCap; got != want {
+			t.Errorf("Static(%v).UsesHighCap() = %v, want %v", m, got, want)
+		}
+	}
+	if !NewScheduled("ko", []modes.Mode{modes.LowLat, modes.HighCap}, 4, 2).UsesHighCap() {
+		t.Error("a schedule naming HighCap must use the high-capacity codec")
+	}
+}
+
 func TestAdaptiveBaselineConstructors(t *testing.T) {
 	hc := NewAdaptiveHitCount(32)
 	if hc.Name() != "Adaptive-Hit-Count" {

@@ -20,14 +20,7 @@ import "lattecc/internal/modes"
 type Static struct {
 	mode modes.Mode
 	name string
-
-	// Period bookkeeping for the high-capacity codec: even static SC needs
-	// its VFT rebuilt periodically (Section IV-C2 applies the same period
-	// structure to SC and LATTE-CC).
-	epLen     uint64 // accesses per experimental phase
-	epsPerPer uint64 // EPs per period
-	accesses  uint64
-	needsHC   bool
+	codeBook
 }
 
 var _ modes.Controller = (*Static)(nil)
@@ -37,11 +30,9 @@ var _ modes.Controller = (*Static)(nil)
 // are ignored unless mode is HighCap.
 func NewStatic(mode modes.Mode, name string, epLen, epsPerPeriod uint64) *Static {
 	return &Static{
-		mode:      mode,
-		name:      name,
-		epLen:     epLen,
-		epsPerPer: epsPerPeriod,
-		needsHC:   mode == modes.HighCap,
+		mode:     mode,
+		name:     name,
+		codeBook: codeBook{epLen: epLen, epsPerPer: epsPerPeriod, needsHC: mode == modes.HighCap},
 	}
 }
 
@@ -54,26 +45,44 @@ func (s *Static) InsertMode(int) modes.Mode { return s.mode }
 // CurrentMode implements modes.Snapshotter.
 func (s *Static) CurrentMode() modes.Mode { return s.mode }
 
-// RecordAccess implements modes.Controller. For Static-SC it requests the
-// periodic VFT rebuild and the accompanying flush of compressed lines.
-func (s *Static) RecordAccess(int, bool, modes.Mode, uint64, uint64) modes.Directive {
-	if !s.needsHC {
+// codeBook is the period bookkeeping of the high-capacity codec, shared
+// by Static and Scheduled so that a one-mode schedule issues exactly its
+// static policy's directives. Even static SC needs its VFT rebuilt
+// periodically (Section IV-C2 applies the same period structure to SC
+// and LATTE-CC); a policy that never inserts HighCap lines keeps no book.
+type codeBook struct {
+	epLen     uint64 // accesses per experimental phase
+	epsPerPer uint64 // EPs per period
+	accesses  uint64
+	needsHC   bool
+}
+
+// UsesHighCap reports whether the policy inserts HighCap lines; the
+// simulator builds the L1 without the high-capacity codec when it does
+// not.
+func (b *codeBook) UsesHighCap() bool { return b.needsHC }
+
+// RecordAccess implements modes.Controller. For a policy that inserts
+// HighCap lines it requests the periodic VFT rebuild and the
+// accompanying flush of compressed lines.
+func (b *codeBook) RecordAccess(int, bool, modes.Mode, uint64, uint64) modes.Directive {
+	if !b.needsHC {
 		return modes.Directive{}
 	}
-	s.accesses++
-	if s.accesses == s.epLen {
+	b.accesses++
+	if b.accesses == b.epLen {
 		// Section IV-C2: the VFT is built during the first EP of the
 		// first period — the first code book exists from then on.
 		return modes.Directive{RebuildHighCap: true}
 	}
-	if s.accesses%(s.epLen*s.epsPerPer) == 0 {
+	if b.accesses%(b.epLen*b.epsPerPer) == 0 {
 		return modes.Directive{FlushHighCap: true, RebuildHighCap: true}
 	}
 	return modes.Directive{}
 }
 
-// RecordMissLatency implements modes.Controller (unused by Static).
-func (s *Static) RecordMissLatency(uint64) {}
+// RecordMissLatency implements modes.Controller (unused).
+func (*codeBook) RecordMissLatency(uint64) {}
 
-// RecordTolerance implements modes.Controller (unused by Static).
-func (s *Static) RecordTolerance(float64) {}
+// RecordTolerance implements modes.Controller (unused).
+func (*codeBook) RecordTolerance(float64) {}

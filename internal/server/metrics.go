@@ -112,7 +112,7 @@ func (m *metrics) write(w io.Writer, snap metricsSnapshot) {
 	WriteMetric(w, "gauge", "latteccd_draining", "1 while shutdown is draining in-flight jobs.", drain)
 
 	WriteMetric(w, "counter", "latteccd_simulations_fresh_total",
-		"Simulations actually executed (Suite.Simulations over all suites).", snap.fresh)
+		"Run requests answered with a fresh result: simulated, or a one-mode Kernel-OPT copied from its static run (Suite.Simulations over all suites).", snap.fresh)
 	WriteMetric(w, "counter", "latteccd_simulation_cache_hits_total",
 		"Run requests served from the result cache (Suite.CacheHits over all suites).", snap.cacheHits)
 	WriteMetric(w, "counter", "latteccd_simulation_store_hits_total",

@@ -208,30 +208,3 @@ const (
 // ControllerFactory builds one compression controller per SM. numSets is
 // the SM's L1 set count.
 type ControllerFactory func(numSets int) modes.Controller
-
-// freshCodecs returns a new codec array matching cfg's, so each run gets
-// independent SC state. Stateless codecs are shared safely but SC carries
-// a VFT and code book per SM.
-func (c Config) freshCodecs() [modes.NumModes]compress.Codec {
-	var out [modes.NumModes]compress.Codec
-	for m, codec := range c.Cache.Codecs {
-		if codec == nil {
-			continue
-		}
-		switch codec.(type) {
-		case *compress.SC:
-			out[m] = compress.NewSC()
-		case *compress.BDI:
-			out[m] = compress.NewBDI()
-		case *compress.BPC:
-			out[m] = compress.NewBPC()
-		case *compress.FPC:
-			out[m] = compress.NewFPC()
-		case *compress.CPACK:
-			out[m] = compress.NewCPACK()
-		default:
-			out[m] = codec
-		}
-	}
-	return out
-}

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"lattecc/internal/cache"
 	"lattecc/internal/invariant"
@@ -55,6 +56,18 @@ type Result struct {
 	EPKernels []int32
 	// Switches counts mode changes across all SMs.
 	Switches uint64
+}
+
+// Clone returns a copy of r that shares no memory with it: every slice
+// and both series are copied, so a cached result can be handed out and
+// edited without touching the cache.
+func (r Result) Clone() Result {
+	r.Kernels = slices.Clone(r.Kernels)
+	r.EPLog = slices.Clone(r.EPLog)
+	r.EPKernels = slices.Clone(r.EPKernels)
+	r.ToleranceSeries = r.ToleranceSeries.Clone()
+	r.CapacitySeries = r.CapacitySeries.Clone()
+	return r
 }
 
 // IPC returns instructions per cycle.
@@ -162,9 +175,15 @@ func New(cfg Config, work trace.Workload, factory ControllerFactory) *Sim {
 	data := work.Data()
 	ports := make([]*mem.Port, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
-		cacheCfg := cfg.Cache
-		cacheCfg.Codecs = cfg.freshCodecs()
 		ctrl := factory(numSets)
+		cacheCfg := cfg.Cache
+		// A controller that never inserts HighCap lines gets an L1
+		// without the high-capacity codec: nothing would read the SC
+		// value table it trains on every fill and sampled hit.
+		if hc, ok := ctrl.(interface{ UsesHighCap() bool }); ok && !hc.UsesHighCap() {
+			cacheCfg.Codecs[modes.HighCap] = nil
+		}
+		cacheCfg.Codecs = cacheCfg.FreshCodecs()
 		ports[i] = mem.NewPort(cfg.L1Ports)
 		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, cacheCfg, ports[i], data))
 	}

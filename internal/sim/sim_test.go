@@ -101,6 +101,28 @@ func run(t *testing.T, cfg Config, w trace.Workload, f ControllerFactory) Result
 	return New(cfg, w, f).Run()
 }
 
+func TestL1HighCapCodecFollowsController(t *testing.T) {
+	w := testWorkload{name: "tiny", blocks: 2, warps: 2, iters: 10, alu: 1, wsLines: 4, spread: 64}
+	scFactory := func(int) modes.Controller { return policy.NewStatic(modes.HighCap, "Static-SC", 256, 10) }
+	for _, c := range []struct {
+		name string
+		f    ControllerFactory
+		want bool
+	}{
+		{"Uncompressed", baselineFactory, false},
+		{"Static-BDI", bdiFactory, false},
+		{"Static-SC", scFactory, true},
+		{"LATTE-CC (no UsesHighCap)", latteFactory, true},
+	} {
+		s := New(smallConfig(), w, c.f)
+		for _, m := range s.sms {
+			if got := m.l1.TrainsHighCap(); got != c.want {
+				t.Errorf("%s: SM%d L1 trains the high-capacity codec = %v, want %v", c.name, m.id, got, c.want)
+			}
+		}
+	}
+}
+
 func TestRunCompletes(t *testing.T) {
 	w := testWorkload{name: "tiny", blocks: 4, warps: 2, iters: 50, alu: 3, wsLines: 8, spread: 64}
 	res := run(t, smallConfig(), w, baselineFactory)

@@ -480,7 +480,7 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 		// the table tracks value *use* frequency, and hit-dominated
 		// phases would otherwise never refresh it.
 		s.hitSample++
-		if s.hitSample&0xF == 0 {
+		if s.hitSample&0xF == 0 && s.l1.TrainsHighCap() {
 			s.l1.TrainHighCap(s.line(lineAddr))
 		}
 		return true

@@ -83,14 +83,13 @@ type Point struct {
 // bounded over arbitrarily long runs while preserving shape — exactly what
 // the paper's Figures 5 and 16 need.
 type Series struct {
-	Name    string
-	maxLen  int
-	pts     []Point
-	pending *Point // accumulates pairs during downsampled operation
-	stride  int    // how many raw samples fold into one stored point
-	seen    int    // raw samples folded into pending so far
-	sumC    float64
-	sumV    float64
+	Name   string
+	maxLen int
+	pts    []Point
+	stride int // how many raw samples fold into one stored point
+	seen   int // raw samples folded into sumC/sumV so far
+	sumC   float64
+	sumV   float64
 }
 
 // NewSeries returns a series that stores at most maxLen points.
@@ -141,6 +140,17 @@ func (s *Series) Add(cycle uint64, v float64) {
 
 // Points returns the stored (possibly downsampled) samples.
 func (s *Series) Points() []Point { return s.pts }
+
+// Clone returns an independent copy of s: adding to either series
+// leaves the other unchanged. A nil series clones to nil.
+func (s *Series) Clone() *Series {
+	if s == nil {
+		return nil
+	}
+	c := *s
+	c.pts = append([]Point(nil), s.pts...)
+	return &c
+}
 
 // MarshalJSON emits the series as {"name":..., "points":[{...}]}.
 func (s *Series) MarshalJSON() ([]byte, error) {

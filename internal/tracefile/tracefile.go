@@ -23,7 +23,6 @@ import (
 	"io"
 
 	"lattecc/internal/cache"
-	"lattecc/internal/compress"
 	"lattecc/internal/modes"
 	"lattecc/internal/trace"
 )
@@ -248,7 +247,7 @@ func Replay(r *Reader, cacheCfg cache.Config, factory func(numSets int) modes.Co
 		c := caches[rec.SM]
 		if c == nil {
 			cfg := cacheCfg
-			cfg.Codecs = freshCodecs(cacheCfg)
+			cfg.Codecs = cacheCfg.FreshCodecs()
 			c = cache.New(cfg, factory(numSets))
 			caches[rec.SM] = c
 		}
@@ -258,46 +257,7 @@ func Replay(r *Reader, cacheCfg cache.Config, factory func(numSets int) modes.Co
 		}
 	}
 	for _, c := range caches {
-		cs := c.Stats()
-		res.Cache.Accesses += cs.Accesses
-		res.Cache.Hits += cs.Hits
-		res.Cache.Misses += cs.Misses
-		res.Cache.CompressedHits += cs.CompressedHits
-		res.Cache.DecompWait += cs.DecompWait
-		res.Cache.Fills += cs.Fills
-		res.Cache.Evictions += cs.Evictions
-		res.Cache.UncompressedSize += cs.UncompressedSize
-		res.Cache.CompressedSize += cs.CompressedSize
-		for m := range cs.InsertsByMode {
-			res.Cache.InsertsByMode[m] += cs.InsertsByMode[m]
-			res.Cache.HitsByMode[m] += cs.HitsByMode[m]
-		}
+		res.Cache.Add(c.Stats())
 	}
 	return res, nil
-}
-
-// freshCodecs clones the codec set so each replayed SM gets independent
-// SC state (mirrors the simulator's per-SM codec instantiation).
-func freshCodecs(cfg cache.Config) [modes.NumModes]compress.Codec {
-	var out [modes.NumModes]compress.Codec
-	for m, codec := range cfg.Codecs {
-		if codec == nil {
-			continue
-		}
-		switch codec.(type) {
-		case *compress.SC:
-			out[m] = compress.NewSC()
-		case *compress.BDI:
-			out[m] = compress.NewBDI()
-		case *compress.BPC:
-			out[m] = compress.NewBPC()
-		case *compress.FPC:
-			out[m] = compress.NewFPC()
-		case *compress.CPACK:
-			out[m] = compress.NewCPACK()
-		default:
-			out[m] = codec
-		}
-	}
-	return out
 }

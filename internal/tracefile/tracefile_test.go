@@ -165,6 +165,12 @@ func TestReplayPolicyComparison(t *testing.T) {
 	if bdi.Cache.InsertsByMode[modes.LowLat] == 0 {
 		t.Fatal("BDI replay must insert compressed lines")
 	}
+	// The per-SM counters are summed field by field: bytes allocated
+	// and decompressor occupancy reach the result too.
+	if bdi.Cache.SubBlocksByMode[modes.LowLat] == 0 || bdi.Cache.DecompBusy == 0 {
+		t.Fatalf("BDI replay dropped counters: sub-blocks %v, decomp busy %d",
+			bdi.Cache.SubBlocksByMode, bdi.Cache.DecompBusy)
+	}
 }
 
 func TestTraceFormatGolden(t *testing.T) {
