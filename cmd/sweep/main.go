@@ -45,7 +45,9 @@ var params = map[string]struct {
 		func(c *sim.Config, v int) { c.L1Ports = v }},
 	"mshrs": {"outstanding misses per SM", 1,
 		func(c *sim.Config, v int) { c.MSHRs = v }},
-	"decomp-ii": {"decompressor initiation interval (cycles)", 0,
+	// decomp-ii starts at 1: cache.Config reads 0 as "default 2", so a
+	// 0 would simulate the 2 point again under another fingerprint.
+	"decomp-ii": {"decompressor initiation interval (cycles)", 1,
 		func(c *sim.Config, v int) { c.Cache.DecompInitInterval = uint64(v) }},
 	"extra-hit-latency": {"added L1 hit latency (cycles)", 0,
 		func(c *sim.Config, v int) { c.Cache.ExtraHitLatency = uint64(v) }},

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,5 +50,31 @@ func TestParseValuesRejectsUnbuildableMachines(t *testing.T) {
 	}
 	if _, err := parseValues("mshrs", "1,x"); err == nil {
 		t.Error("non-integer value accepted")
+	}
+}
+
+// TestMain runs main itself when the test binary is re-executed with
+// SWEEP_MAIN_ARGS set, so a test can check sweep's exit status.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("SWEEP_MAIN_ARGS"); ok {
+		os.Args = append([]string{"sweep"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDecompIIZeroExits2: decomp-ii 0 is the 2 point under another
+// name, so sweep refuses it as a usage error before simulating.
+func TestDecompIIZeroExits2(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "SWEEP_MAIN_ARGS=-param decomp-ii -values 0,2 -workloads FW")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("sweep -param decomp-ii -values 0,2: err %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "needs values >= 1") {
+		t.Errorf("output %q does not name the minimum", out)
 	}
 }

@@ -15,6 +15,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 
 	"lattecc/internal/compress"
@@ -178,23 +179,44 @@ type Result struct {
 	Ready uint64
 }
 
-// line is one tag entry of the compressed cache.
+// line is one tag entry of the compressed cache; its tag lives in the
+// set's packed tag array. The narrow fields keep a line at 16 bytes: New
+// bounds the sub-blocks per line, and a code book is rebuilt at most once
+// per period, so no run reaches 2^32 generations.
 type line struct {
 	valid     bool
-	tag       uint64
 	mode      modes.Mode
-	subBlocks int
-	gen       uint64 // HighCap code-book generation
+	subBlocks uint16
+	gen       uint32 // HighCap code-book generation
 	lru       uint64
 }
 
+// invalidTag marks an empty entry of a set's tag array. No line address
+// reaches it: a line address is a byte address divided by LineSize > 1.
+const invalidTag = ^uint64(0)
+
 // set is one cache set: TagFactor×Ways tags sharing Ways×LineSize bytes of
-// data storage, allocated in sub-blocks.
+// data storage, allocated in sub-blocks. tags[i] is lines[i]'s tag when
+// that line is valid and invalidTag otherwise, so a lookup scans 8 bytes
+// per entry instead of a whole line.
 type set struct {
+	tags     []uint64
 	lines    []line
 	freeSub  int
 	lruClock uint64
 	totalSub int
+}
+
+// find returns the index of lineAddr's entry in the set, or -1.
+//
+//lint:hotpath
+func (s *set) find(lineAddr uint64) int {
+	for i, t := range s.tags {
+		if t == lineAddr {
+			return i
+		}
+	}
+	return -1
 }
 
 // Cache is one SM's L1 data cache.
@@ -211,6 +233,14 @@ type Cache struct {
 	// decompBuf holds the line addresses of recently decompressed lines
 	// (FIFO); see Config.DecompBufferEntries.
 	decompBuf []uint64
+
+	// trainer is the high-capacity codec when it learns from line data
+	// (SC does; BPC is stateless), else nil.
+	trainer *compress.SC
+	// sizes[m] is the run's shared size table for mode m's codec when
+	// that codec is stateless and the cache was built by NewL1; nil
+	// otherwise (see SizeMemo).
+	sizes [modes.NumModes]*sizeTable
 }
 
 // New builds a cache; it panics on inconsistent geometry (configs come
@@ -219,24 +249,66 @@ func New(cfg Config, ctrl modes.Controller) *Cache {
 	if cfg.LineSize <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
 	}
-	if cfg.LineSize%SubBlockSize != 0 {
-		panic("cache: line size must be a multiple of the sub-block size")
+	if cfg.LineSize%SubBlockSize != 0 || cfg.LineSize/SubBlockSize > math.MaxUint16 {
+		panic("cache: line size must be a multiple of the sub-block size, at most 65535 of them")
 	}
 	numSets := cfg.SizeBytes / (cfg.LineSize * cfg.Ways)
 	if numSets == 0 {
 		panic("cache: zero sets")
 	}
 	c := &Cache{cfg: cfg, ctrl: ctrl, numSets: numSets, sets: make([]set, numSets)}
+	c.trainer, _ = cfg.Codecs[modes.HighCap].(*compress.SC)
 	subPerSet := cfg.Ways * cfg.LineSize / SubBlockSize
+	n := cfg.Ways * TagFactor
+	// One slab each for every set's tags and lines.
+	tags := make([]uint64, numSets*n)
+	for i := range tags {
+		tags[i] = invalidTag
+	}
+	lines := make([]line, numSets*n)
 	for i := range c.sets {
+		lo, hi := i*n, (i+1)*n
 		c.sets[i] = set{
-			lines:    make([]line, cfg.Ways*TagFactor),
+			tags:     tags[lo:hi:hi],
+			lines:    lines[lo:hi:hi],
 			freeSub:  subPerSet,
 			totalSub: subPerSet,
 		}
 	}
 	return c
 }
+
+// NewL1 builds one SM's L1 for a run. The codecs are fresh, so SC state
+// is private to the cache; a controller that reports UsesHighCap() ==
+// false gets no high-capacity codec, since nothing would read the SC
+// value table it trains on every fill and sampled hit; and stateless
+// codecs measure through memo, which every L1 of the run shares.
+func NewL1(cfg Config, ctrl modes.Controller, memo *SizeMemo) *Cache {
+	if hc, ok := ctrl.(interface{ UsesHighCap() bool }); ok && !hc.UsesHighCap() {
+		cfg.Codecs[modes.HighCap] = nil
+	}
+	cfg.Codecs = cfg.FreshCodecs()
+	c := New(cfg, ctrl)
+	for m, codec := range cfg.Codecs {
+		c.sizes[m] = memo.table(codec)
+	}
+	return c
+}
+
+// LineSource renders the bytes of one line on demand. Fill asks for them
+// only when it must: to train an SC value table, to measure a line the
+// size memo does not hold, or to run the paranoid checks. The returned
+// slice need only stay valid until the next call. Every trace.DataSource
+// is a LineSource; trace.LineBuffer is one that renders into a reused
+// buffer.
+type LineSource interface {
+	Line(lineAddr uint64) []byte
+}
+
+// lineBytes is a LineSource that always returns the same bytes.
+type lineBytes []byte
+
+func (b lineBytes) Line(uint64) []byte { return b }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -267,23 +339,20 @@ func (c *Cache) Access(addr uint64, now uint64) Result {
 	c.stats.Accesses++
 
 	res := Result{}
-	for i := range s.lines {
+	if i := s.find(lineAddr); i >= 0 {
 		l := &s.lines[i]
-		if l.valid && l.tag == lineAddr {
-			s.lruClock++
-			l.lru = s.lruClock
-			res.Hit = true
-			res.LineMode = l.mode
-			if l.mode != modes.None && !c.cfg.CapacityOnly {
-				if c.decompBufLookup(lineAddr) {
-					c.stats.DecompBufferHits++
-				} else {
-					res.ExtraLatency = c.decompress(l.mode, now)
-					c.stats.CompressedHits++
-					c.decompBufInsert(lineAddr)
-				}
+		s.lruClock++
+		l.lru = s.lruClock
+		res.Hit = true
+		res.LineMode = l.mode
+		if l.mode != modes.None && !c.cfg.CapacityOnly {
+			if c.decompBufLookup(lineAddr) {
+				c.stats.DecompBufferHits++
+			} else {
+				res.ExtraLatency = c.decompress(l.mode, now)
+				c.stats.CompressedHits++
+				c.decompBufInsert(lineAddr)
 			}
-			break
 		}
 	}
 	if res.Hit {
@@ -369,24 +438,28 @@ func (c *Cache) decompBufDrop(lineAddr uint64) {
 	}
 }
 
-// Fill installs the line containing addr with the given data bytes,
-// compressed according to the controller's mode for the set. It returns
-// the mode used. Fill also trains the high-capacity codec's value table:
-// the hardware VFT snoops the fill path regardless of the selected mode.
+// Fill installs the line containing addr, compressed according to the
+// controller's mode for the set, and returns the mode used. Fill also
+// trains the high-capacity codec's value table: the hardware VFT snoops
+// the fill path regardless of the selected mode. src supplies the line's
+// bytes, which Fill renders only when it needs them (see LineSource).
 //
 // The cache only ever stores sizes and modes, never encoded bytes, so
-// the steady-state fill uses Codec.Measure and allocates nothing; under
-// paranoid mode it runs the full Compress instead and verifies both the
-// round trip and that Measure agrees with it.
+// the steady-state fill uses Codec.Measure, or the size memo, and
+// allocates nothing; under paranoid mode it runs the full Compress
+// instead and verifies the round trip, that Measure agrees with it, and
+// that the memo does.
 //
 //lint:hotpath
-func (c *Cache) Fill(addr uint64, data []byte, now uint64) modes.Mode {
+func (c *Cache) Fill(addr uint64, src LineSource, now uint64) modes.Mode {
 	lineAddr := addr / uint64(c.cfg.LineSize)
 	si := c.setIndex(lineAddr)
 	s := &c.sets[si]
 
-	if sc := c.highCapTrainer(); sc != nil {
-		sc.Train(data)
+	var data []byte // rendered on first need
+	if c.trainer != nil {
+		data = src.Line(lineAddr)
+		c.trainer.Train(data)
 	}
 
 	mode := c.ctrl.InsertMode(si)
@@ -400,17 +473,9 @@ func (c *Cache) Fill(addr uint64, data []byte, now uint64) modes.Mode {
 		if codec == nil {
 			mode = modes.None
 		} else {
-			var enc compress.Encoded
-			if invariant.Active() {
-				enc = codec.Compress(data)
-				c.verifyEncoding(codec, enc, data)
-			} else {
-				enc = codec.Measure(data)
-			}
+			enc := c.measure(mode, lineAddr, src, data)
 			gen = enc.Generation
-			if c.cfg.LatencyOnly {
-				sub = c.subBlocksPerLine()
-			} else {
+			if !c.cfg.LatencyOnly {
 				sub = (enc.Size + SubBlockSize - 1) / SubBlockSize
 			}
 			c.stats.UncompressedSize += uint64(c.cfg.LineSize)
@@ -428,7 +493,9 @@ func (c *Cache) Fill(addr uint64, data []byte, now uint64) modes.Mode {
 	}
 
 	// If the line is somehow present (racing fills), replace it in place.
-	c.invalidateLine(s, lineAddr)
+	if i := s.find(lineAddr); i >= 0 {
+		c.drop(s, i)
+	}
 	c.decompBufDrop(lineAddr)
 
 	// Make room: need a free tag and sub sub-blocks.
@@ -437,16 +504,12 @@ func (c *Cache) Fill(addr uint64, data []byte, now uint64) modes.Mode {
 			fillNoRoom()
 		}
 	}
-	for i := range s.lines {
-		l := &s.lines[i]
-		if !l.valid {
-			s.lruClock++
-			*l = line{valid: true, tag: lineAddr, mode: mode, subBlocks: sub, gen: gen, lru: s.lruClock}
-			s.freeSub -= sub
-			c.validCnt++
-			break
-		}
-	}
+	i := s.find(invalidTag)
+	s.lruClock++
+	s.tags[i] = lineAddr
+	s.lines[i] = line{valid: true, mode: mode, subBlocks: uint16(sub), gen: uint32(gen), lru: s.lruClock}
+	s.freeSub -= sub
+	c.validCnt++
 	c.stats.Fills++
 	c.stats.InsertsByMode[mode]++
 	c.stats.SubBlocksByMode[mode] += uint64(sub)
@@ -454,6 +517,42 @@ func (c *Cache) Fill(addr uint64, data []byte, now uint64) modes.Mode {
 		c.checkSet(si)
 	}
 	return mode
+}
+
+// FillBytes is Fill with the line's bytes already rendered.
+func (c *Cache) FillBytes(addr uint64, data []byte, now uint64) modes.Mode {
+	return c.Fill(addr, lineBytes(data), now)
+}
+
+// measure returns mode's codec result for the line: from the size memo
+// when the codec is stateless and the line was measured before, else by
+// Measure on data (rendered from src here if the caller has not yet).
+//
+//lint:hotpath
+func (c *Cache) measure(mode modes.Mode, lineAddr uint64, src LineSource, data []byte) compress.Encoded {
+	codec, sizes := c.cfg.Codecs[mode], c.sizes[mode]
+	paranoid := invariant.Active()
+	if sizes != nil && !paranoid {
+		if e, ok := sizes.get(lineAddr); ok {
+			return compress.Encoded{Size: int(e >> 1), Raw: e&1 != 0}
+		}
+	}
+	if data == nil {
+		data = src.Line(lineAddr)
+	}
+	if paranoid {
+		enc := codec.Compress(data)
+		c.verifyEncoding(codec, enc, data)
+		if sizes != nil {
+			c.verifyMemo(codec, sizes, lineAddr, enc)
+		}
+		return enc
+	}
+	enc := codec.Measure(data)
+	if sizes != nil {
+		sizes.set(lineAddr, memoEntry(enc))
+	}
+	return enc
 }
 
 // badControllerMode and fillNoRoom keep Fill's panic construction (and
@@ -493,18 +592,37 @@ func (c *Cache) verifyEncoding(codec compress.Codec, enc compress.Encoded, data 
 		codec.Name(), m.Size, m.Raw, m.Generation, enc.Size, enc.Raw, enc.Generation)
 }
 
+// verifyMemo is the paranoid cross-check of the size memo: an entry,
+// when present, must equal the full Compress result; an absent one is
+// recorded, so the line's next fill is checked against it.
+func (c *Cache) verifyMemo(codec compress.Codec, sizes *sizeTable, lineAddr uint64, enc compress.Encoded) {
+	want := memoEntry(enc)
+	invariant.Assert(enc.Generation == 0,
+		"%s: stateless codec reported generation %d", codec.Name(), enc.Generation)
+	if e, ok := sizes.get(lineAddr); ok {
+		invariant.Assert(e == want,
+			"%s: memoised size %d (raw %v) of line %#x disagrees with Compress (size %d, raw %v)",
+			codec.Name(), e>>1, e&1 != 0, lineAddr, enc.Size, enc.Raw)
+		return
+	}
+	sizes.set(lineAddr, want)
+}
+
 // checkSet verifies one set's occupancy accounting after a structural
 // change: allocated sub-blocks of valid lines plus the free count must
-// equal the set's capacity, and no line may exceed an uncompressed
-// line's footprint.
+// equal the set's capacity, no line may exceed an uncompressed line's
+// footprint, and the tag array must mirror the lines (a tag appears
+// exactly where its line is valid).
 func (c *Cache) checkSet(si int) {
 	s := &c.sets[si]
 	used := 0
 	for i := range s.lines {
+		invariant.Assert(s.lines[i].valid == (s.tags[i] != invalidTag),
+			"set %d: entry %d valid %v but tag %#x", si, i, s.lines[i].valid, s.tags[i])
 		if !s.lines[i].valid {
 			continue
 		}
-		sub := s.lines[i].subBlocks
+		sub := int(s.lines[i].subBlocks)
 		invariant.Assert(sub > 0 && sub <= c.subBlocksPerLine(),
 			"set %d: line holds %d sub-blocks, line size is %d", si, sub, c.subBlocksPerLine())
 		used += sub
@@ -517,15 +635,7 @@ func (c *Cache) checkSet(si int) {
 
 // hasRoom reports whether the set has a free tag and sub free sub-blocks.
 func (c *Cache) hasRoom(s *set, sub int) bool {
-	if s.freeSub < sub {
-		return false
-	}
-	for i := range s.lines {
-		if !s.lines[i].valid {
-			return true
-		}
-	}
-	return false
+	return s.freeSub >= sub && s.find(invalidTag) >= 0
 }
 
 // evictLRU removes the least recently used valid line from the set.
@@ -541,23 +651,17 @@ func (c *Cache) evictLRU(s *set) bool {
 	if victim < 0 {
 		return false
 	}
-	s.freeSub += s.lines[victim].subBlocks
-	s.lines[victim] = line{}
-	c.validCnt--
+	c.drop(s, victim)
 	c.stats.Evictions++
 	return true
 }
 
-// invalidateLine removes a specific line if present.
-func (c *Cache) invalidateLine(s *set, lineAddr uint64) {
-	for i := range s.lines {
-		if s.lines[i].valid && s.lines[i].tag == lineAddr {
-			s.freeSub += s.lines[i].subBlocks
-			s.lines[i] = line{}
-			c.validCnt--
-			return
-		}
-	}
+// drop invalidates entry i of the set and frees its sub-blocks.
+func (c *Cache) drop(s *set, i int) {
+	s.freeSub += int(s.lines[i].subBlocks)
+	s.lines[i] = line{}
+	s.tags[i] = invalidTag
+	c.validCnt--
 }
 
 // applyDirective handles controller requests: flushing compressed lines
@@ -566,11 +670,7 @@ func (c *Cache) invalidateLine(s *set, lineAddr uint64) {
 // encoded under an unchanged book stay decodable.
 func (c *Cache) applyDirective(dir modes.Directive) {
 	if dir.RebuildHighCap {
-		sc := c.highCapTrainer()
-		if sc == nil {
-			return
-		}
-		if !sc.Rebuild() {
+		if c.trainer == nil || !c.trainer.Rebuild() {
 			return
 		}
 	}
@@ -580,9 +680,7 @@ func (c *Cache) applyDirective(dir modes.Directive) {
 			s := &c.sets[si]
 			for i := range s.lines {
 				if s.lines[i].valid && s.lines[i].mode == modes.HighCap {
-					s.freeSub += s.lines[i].subBlocks
-					s.lines[i] = line{}
-					c.validCnt--
+					c.drop(s, i)
 					c.stats.FlushedLines++
 				}
 			}
@@ -600,24 +698,10 @@ func (c *Cache) applyDirective(dir modes.Directive) {
 			if sm.KeepUncompressed && s.lines[i].mode == modes.None {
 				continue
 			}
-			s.freeSub += s.lines[i].subBlocks
-			s.lines[i] = line{}
-			c.validCnt--
+			c.drop(s, i)
 			c.stats.FlushedLines++
 		}
 	}
-}
-
-// highCapTrainer returns the high-capacity codec's training interface if
-// it has one (SC does; BPC is stateless).
-func (c *Cache) highCapTrainer() interface {
-	Train([]byte)
-	Rebuild() bool
-} {
-	if sc, ok := c.cfg.Codecs[modes.HighCap].(*compress.SC); ok {
-		return sc
-	}
-	return nil
 }
 
 // WriteTouch models a write hit under a write-through L1 (the policy the
@@ -632,32 +716,25 @@ func (c *Cache) WriteTouch(addr uint64, now uint64) {
 	lineAddr := addr / uint64(c.cfg.LineSize)
 	si := c.setIndex(lineAddr)
 	s := &c.sets[si]
-	for i := range s.lines {
-		l := &s.lines[i]
-		if !l.valid || l.tag != lineAddr {
-			continue
-		}
-		if l.mode == modes.None {
-			return
-		}
-		grow := c.subBlocksPerLine() - l.subBlocks
-		for s.freeSub < grow {
-			if !c.evictLRUExcept(s, i) {
-				// Nothing else to evict: drop the written line itself
-				// (write-no-allocate fallback).
-				s.freeSub += l.subBlocks
-				*l = line{}
-				c.validCnt--
-				c.stats.Evictions++
-				return
-			}
-		}
-		s.freeSub -= grow
-		l.mode = modes.None
-		l.subBlocks = c.subBlocksPerLine()
-		c.stats.WriteExpansions++
+	i := s.find(lineAddr)
+	if i < 0 || s.lines[i].mode == modes.None {
 		return
 	}
+	l := &s.lines[i]
+	grow := c.subBlocksPerLine() - int(l.subBlocks)
+	for s.freeSub < grow {
+		if !c.evictLRUExcept(s, i) {
+			// Nothing else to evict: drop the written line itself
+			// (write-no-allocate fallback).
+			c.drop(s, i)
+			c.stats.Evictions++
+			return
+		}
+	}
+	s.freeSub -= grow
+	l.mode = modes.None
+	l.subBlocks = uint16(c.subBlocksPerLine())
+	c.stats.WriteExpansions++
 }
 
 // evictLRUExcept evicts the least recently used valid line other than
@@ -677,9 +754,7 @@ func (c *Cache) evictLRUExcept(s *set, keep int) bool {
 	if victim < 0 {
 		return false
 	}
-	s.freeSub += s.lines[victim].subBlocks
-	s.lines[victim] = line{}
-	c.validCnt--
+	c.drop(s, victim)
 	c.stats.Evictions++
 	return true
 }
@@ -687,7 +762,7 @@ func (c *Cache) evictLRUExcept(s *set, keep int) bool {
 // TrainsHighCap reports whether the high-capacity codec learns from
 // line data, so a caller can skip fetching data TrainHighCap would
 // discard.
-func (c *Cache) TrainsHighCap() bool { return c.highCapTrainer() != nil }
+func (c *Cache) TrainsHighCap() bool { return c.trainer != nil }
 
 // TrainHighCap feeds line data into the high-capacity codec's
 // value-frequency table. The cache already trains on every fill; the SM
@@ -695,8 +770,8 @@ func (c *Cache) TrainsHighCap() bool { return c.highCapTrainer() != nil }
 // tracks the frequency of *used* values (Section IV-C2), not just newly
 // inserted ones — an all-hit period would otherwise starve the table.
 func (c *Cache) TrainHighCap(data []byte) {
-	if sc := c.highCapTrainer(); sc != nil {
-		sc.Train(data)
+	if c.trainer != nil {
+		c.trainer.Train(data)
 	}
 }
 
@@ -719,9 +794,7 @@ func (c *Cache) Flush() {
 		s := &c.sets[si]
 		for i := range s.lines {
 			if s.lines[i].valid {
-				s.freeSub += s.lines[i].subBlocks
-				s.lines[i] = line{}
-				c.validCnt--
+				c.drop(s, i)
 			}
 		}
 	}
@@ -770,7 +843,7 @@ func (c *Cache) SnapshotSet(si int) SetView {
 			continue
 		}
 		rs = append(rs, ranked{lru: l.lru, view: LineView{
-			Tag: l.tag, Mode: l.mode, SubBlocks: l.subBlocks, Gen: l.gen,
+			Tag: s.tags[i], Mode: l.mode, SubBlocks: int(l.subBlocks), Gen: uint64(l.gen),
 		}})
 	}
 	sort.Slice(rs, func(i, j int) bool { return rs[i].lru < rs[j].lru })

@@ -54,7 +54,7 @@ func TestMissThenFillThenHit(t *testing.T) {
 	if r := c.Access(addr, 0); r.Hit {
 		t.Fatal("cold access must miss")
 	}
-	c.Fill(addr, make([]byte, 128), 10)
+	c.FillBytes(addr, make([]byte, 128), 10)
 	r := c.Access(addr, 20)
 	if !r.Hit {
 		t.Fatal("post-fill access must hit")
@@ -75,7 +75,7 @@ func TestBaselineCapacityIsFourWays(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		addr := uint64(i*sets) * 128
 		c.Access(addr, 0)
-		c.Fill(addr, make([]byte, 128), 0)
+		c.FillBytes(addr, make([]byte, 128), 0)
 	}
 	if c.Stats().Evictions != 1 {
 		t.Fatalf("want exactly 1 eviction, got %d", c.Stats().Evictions)
@@ -99,7 +99,7 @@ func TestCompressionExpandsCapacity(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		addr := uint64(i*sets) * 128
 		c.Access(addr, 0)
-		c.Fill(addr, compressibleLine(), 0)
+		c.FillBytes(addr, compressibleLine(), 0)
 	}
 	if ev := c.Stats().Evictions; ev != 0 {
 		t.Fatalf("8 compressed lines should fit without eviction, got %d evictions", ev)
@@ -121,7 +121,7 @@ func TestTagLimitSixteenLinesPerSet(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		addr := uint64(i*sets) * 128
 		c.Access(addr, 0)
-		c.Fill(addr, make([]byte, 128), 0) // zero lines → 1 sub-block
+		c.FillBytes(addr, make([]byte, 128), 0) // zero lines → 1 sub-block
 	}
 	hits := 0
 	for i := 0; i < 20; i++ {
@@ -138,7 +138,7 @@ func TestDecompressionLatencyCharged(t *testing.T) {
 	c := bdiCache()
 	addr := uint64(0)
 	c.Access(addr, 0)
-	c.Fill(addr, compressibleLine(), 0)
+	c.FillBytes(addr, compressibleLine(), 0)
 	r := c.Access(addr, 50)
 	if !r.Hit || r.LineMode != modes.LowLat {
 		t.Fatalf("want compressed hit, got %+v", r)
@@ -156,7 +156,7 @@ func TestDecompressorQueueContention(t *testing.T) {
 	c := bdiCache()
 	addr := uint64(0)
 	c.Access(addr, 0)
-	c.Fill(addr, compressibleLine(), 0)
+	c.FillBytes(addr, compressibleLine(), 0)
 	r1 := c.Access(addr, 100)
 	r2 := c.Access(addr, 100) // same cycle: must queue behind r1
 	if r2.ExtraLatency <= r1.ExtraLatency {
@@ -173,7 +173,7 @@ func TestUnboundedDecompressorAblation(t *testing.T) {
 	c := New(cfg, policy.NewStatic(modes.LowLat, "bdi", 256, 10))
 	addr := uint64(0)
 	c.Access(addr, 0)
-	c.Fill(addr, compressibleLine(), 0)
+	c.FillBytes(addr, compressibleLine(), 0)
 	r1 := c.Access(addr, 100)
 	r2 := c.Access(addr, 100)
 	if r1.ExtraLatency != r2.ExtraLatency {
@@ -190,7 +190,7 @@ func TestCapacityOnlyNoLatency(t *testing.T) {
 	c := New(cfg, policy.NewStatic(modes.LowLat, "bdi", 256, 10))
 	addr := uint64(0)
 	c.Access(addr, 0)
-	c.Fill(addr, compressibleLine(), 0)
+	c.FillBytes(addr, compressibleLine(), 0)
 	r := c.Access(addr, 10)
 	if r.ExtraLatency != 0 {
 		t.Fatalf("capacity-only mode must charge no decompression latency, got %d", r.ExtraLatency)
@@ -205,7 +205,7 @@ func TestLatencyOnlyNoCapacity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		addr := uint64(i*sets) * 128
 		c.Access(addr, 0)
-		c.Fill(addr, compressibleLine(), 0)
+		c.FillBytes(addr, compressibleLine(), 0)
 	}
 	// Full-size storage: the 5th line must evict, like the baseline.
 	if c.Stats().Evictions != 1 {
@@ -222,7 +222,7 @@ func TestExtraHitLatencySweepKnob(t *testing.T) {
 	cfg.ExtraHitLatency = 9
 	c := New(cfg, policy.NewStatic(modes.None, "base", 256, 10))
 	c.Access(0, 0)
-	c.Fill(0, make([]byte, 128), 0)
+	c.FillBytes(0, make([]byte, 128), 0)
 	r := c.Access(0, 10)
 	if r.Ready != 10+cfg.HitLatency+9 {
 		t.Fatalf("ready = %d, want %d", r.Ready, 10+cfg.HitLatency+9)
@@ -234,7 +234,7 @@ func TestFlushInvalidatesEverything(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		addr := uint64(i) * 128
 		c.Access(addr, 0)
-		c.Fill(addr, compressibleLine(), 0)
+		c.FillBytes(addr, compressibleLine(), 0)
 	}
 	if c.ValidLines() != 10 {
 		t.Fatalf("valid = %d", c.ValidLines())
@@ -272,7 +272,7 @@ func TestStaticSCRebuildFlushesCompressedLines(t *testing.T) {
 		r := c.Access(addr, accesses)
 		accesses++
 		if !r.Hit {
-			c.Fill(addr, scLine(), accesses)
+			c.FillBytes(addr, scLine(), accesses)
 		}
 	}
 	if c.ValidLines() == 0 {
@@ -303,7 +303,7 @@ func TestSubBlockAccountingInvariant(t *testing.T) {
 				} else {
 					data = randomLine(rng)
 				}
-				c.Fill(addr, data, uint64(i))
+				c.FillBytes(addr, data, uint64(i))
 			}
 		}
 		valid := 0
@@ -312,7 +312,7 @@ func TestSubBlockAccountingInvariant(t *testing.T) {
 			used := 0
 			for _, l := range s.lines {
 				if l.valid {
-					used += l.subBlocks
+					used += int(l.subBlocks)
 					valid++
 					if l.subBlocks < 1 || l.subBlocks > 4 {
 						return false
@@ -333,7 +333,7 @@ func TestSubBlockAccountingInvariant(t *testing.T) {
 func TestHitRateAndRatioStats(t *testing.T) {
 	c := bdiCache()
 	c.Access(0, 0)
-	c.Fill(0, compressibleLine(), 0)
+	c.FillBytes(0, compressibleLine(), 0)
 	c.Access(0, 10)
 	st := c.Stats()
 	if st.HitRate() != 0.5 {
@@ -384,7 +384,7 @@ func TestWriteTouchExpandsCompressedLine(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		addr := uint64(i*sets) * 128
 		c.Access(addr, 0)
-		c.Fill(addr, compressibleLine(), 0)
+		c.FillBytes(addr, compressibleLine(), 0)
 	}
 	if c.ValidLines() != 8 {
 		t.Fatalf("valid = %d", c.ValidLines())
@@ -418,7 +418,7 @@ func TestWriteTouchMissAndUncompressedAreNoOps(t *testing.T) {
 	ctrl := policy.NewStatic(modes.None, "base", 256, 10)
 	cu := New(testConfig(), ctrl)
 	cu.Access(0, 0)
-	cu.Fill(0, make([]byte, 128), 0)
+	cu.FillBytes(0, make([]byte, 128), 0)
 	cu.WriteTouch(0, 1)
 	if cu.Stats().WriteExpansions != 0 {
 		t.Fatal("uncompressed lines need no expansion")
@@ -431,7 +431,7 @@ func TestDecompressedLineBuffer(t *testing.T) {
 	c := New(cfg, policy.NewStatic(modes.LowLat, "bdi", 256, 10))
 	addr := uint64(0)
 	c.Access(addr, 0)
-	c.Fill(addr, compressibleLine(), 0)
+	c.FillBytes(addr, compressibleLine(), 0)
 
 	// First hit decompresses; second hit is buffered and free.
 	r1 := c.Access(addr, 100)
@@ -450,7 +450,7 @@ func TestDecompressedLineBuffer(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		a := uint64(i) * 128 * uint64(c.NumSets()) // same set chain, distinct lines
 		c.Access(a, 300)
-		c.Fill(a, compressibleLine(), 300)
+		c.FillBytes(a, compressibleLine(), 300)
 		c.Access(a, 310)
 	}
 	r3 := c.Access(addr, 400)
@@ -459,8 +459,8 @@ func TestDecompressedLineBuffer(t *testing.T) {
 	}
 
 	// A re-fill of the line invalidates its buffered copy.
-	c.Access(addr, 500)                   // buffer it again
-	c.Fill(addr, compressibleLine(), 510) // new data
+	c.Access(addr, 500)                        // buffer it again
+	c.FillBytes(addr, compressibleLine(), 510) // new data
 	if r := c.Access(addr, 520); r.ExtraLatency == 0 {
 		t.Fatal("refilled line must not serve stale buffered data")
 	}
@@ -476,7 +476,7 @@ func TestDecompressedLineBuffer(t *testing.T) {
 func TestDecompressedLineBufferDisabledByDefault(t *testing.T) {
 	c := bdiCache()
 	c.Access(0, 0)
-	c.Fill(0, compressibleLine(), 0)
+	c.FillBytes(0, compressibleLine(), 0)
 	c.Access(0, 10)
 	c.Access(0, 50)
 	if c.Stats().DecompBufferHits != 0 {

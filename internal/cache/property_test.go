@@ -43,7 +43,7 @@ func recountSet(c *Cache, si int) (used, valid int) {
 	s := &c.sets[si]
 	for i := range s.lines {
 		if s.lines[i].valid {
-			used += s.lines[i].subBlocks
+			used += int(s.lines[i].subBlocks)
 			valid++
 		}
 	}
@@ -69,7 +69,7 @@ func checkAccounting(t *testing.T, c *Cache, when string) {
 			if !s.lines[i].valid {
 				continue
 			}
-			if sb := s.lines[i].subBlocks; sb <= 0 || sb > c.subBlocksPerLine() {
+			if sb := int(s.lines[i].subBlocks); sb <= 0 || sb > c.subBlocksPerLine() {
 				t.Fatalf("%s: set %d line %d: %d sub-blocks outside (0, %d]", when, si, i, sb, c.subBlocksPerLine())
 			}
 		}
@@ -129,7 +129,7 @@ func TestEvictionAccountingProperty(t *testing.T) {
 				} else {
 					data = randomLine(rng)
 				}
-				c.Fill(addr, data, now)
+				c.FillBytes(addr, data, now)
 			case r < 95:
 				c.WriteTouch(addr, now)
 			case r < 98:

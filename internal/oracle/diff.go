@@ -237,7 +237,7 @@ func DiffCache(seed int64, ops int) *Divergence {
 				return diverge("cache", seed, step, "access(%#x, now=%d): optimized %+v, reference %+v", o.addr, now, or, rr)
 			}
 		case 1:
-			om := opt.Fill(o.addr, o.data, now)
+			om := opt.FillBytes(o.addr, o.data, now)
 			rm := ref.Fill(o.addr, o.data, now, scr.insertModes[fillIdx])
 			fillIdx++
 			if om != rm {

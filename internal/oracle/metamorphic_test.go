@@ -139,7 +139,7 @@ func TestMetamorphicTagRelabelInvariance(t *testing.T) {
 					t.Fatalf("seed %d step %d: access results differ: %+v vs %+v", seed, step, ra, rb)
 				}
 			case 1:
-				ma, mb := a.Fill(addrA, o.data, now), b.Fill(addrB, o.data, now)
+				ma, mb := a.FillBytes(addrA, o.data, now), b.FillBytes(addrB, o.data, now)
 				if ma != mb {
 					t.Fatalf("seed %d step %d: fill modes differ: %v vs %v", seed, step, ma, mb)
 				}

@@ -173,19 +173,15 @@ func New(cfg Config, work trace.Workload, factory ControllerFactory) *Sim {
 	s := &Sim{cfg: cfg, mem: m, work: work}
 	numSets := cfg.Cache.SizeBytes / (cfg.Cache.LineSize * cfg.Cache.Ways)
 	data := work.Data()
+	// One size memo per run, shared by every SM's L1: the SMs tick
+	// serially, and the memo dies with the Sim.
+	memo := cache.NewSizeMemo()
 	ports := make([]*mem.Port, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
 		ctrl := factory(numSets)
-		cacheCfg := cfg.Cache
-		// A controller that never inserts HighCap lines gets an L1
-		// without the high-capacity codec: nothing would read the SC
-		// value table it trains on every fill and sampled hit.
-		if hc, ok := ctrl.(interface{ UsesHighCap() bool }); ok && !hc.UsesHighCap() {
-			cacheCfg.Codecs[modes.HighCap] = nil
-		}
-		cacheCfg.Codecs = cacheCfg.FreshCodecs()
 		ports[i] = mem.NewPort(cfg.L1Ports)
-		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, cacheCfg, ports[i], data))
+		l1 := cache.NewL1(cfg.Cache, ctrl, memo)
+		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, l1, ports[i], data))
 	}
 	s.arb = mem.NewArbiter(m, ports)
 	return s

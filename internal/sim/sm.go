@@ -55,6 +55,10 @@ type memReq struct {
 	buf     [memReqAddrCap]uint64
 }
 
+// noStall is sm.stallLine's "no stalled line"; no line address reaches
+// it (a line address is a byte address divided by a line size > 1).
+const noStall = ^uint64(0)
+
 // fillEvent is a pending L1 fill (miss response).
 type fillEvent struct {
 	at       uint64
@@ -145,13 +149,18 @@ type sm struct {
 	l1    *cache.Cache
 	ctrl  modes.Controller
 	port  *mem.Port
-	data  trace.DataSource
-	slots []blockSlot // resident blocks and their warps
+	lines *trace.LineBuffer // the workload's data, rendered on demand
+	slots []blockSlot       // resident blocks and their warps
 	// scheds holds each scheduler's ready state; schedWarps[si] maps its
 	// positions to its resident warps, in id order.
 	scheds     []WarpScheduler
 	schedWarps [][]*warp
 	liveWarps  int
+	// activeBlocks counts active slots and residentWarps the warps in
+	// schedWarps (retired ones included until compactWarps drops them),
+	// so launchBlock can refuse a block without scanning either.
+	activeBlocks  int
+	residentWarps int
 
 	// lsu is the in-order load/store queue; lsuHead indexes the current
 	// front so dequeuing doesn't reslice away buffer capacity.
@@ -160,11 +169,17 @@ type sm struct {
 	reqFree []*memReq // memReq pool
 
 	// mshr holds outstanding misses. A linear scan over at most
-	// Config.MSHRs (32) entries beats map hashing at this size, and a
-	// slice has no iteration-order hazard. Entries are only removed in
-	// applyFills, when no pendingLoad holds an index into the slice.
+	// Config.MSHRs (32) entries beats hashing at this size (a hashed
+	// index profiled slower on fig11-batch), and a slice has no
+	// iteration-order hazard. Entries are only removed in applyFills,
+	// when no pendingLoad holds an index into the slice.
 	mshr  []mshrEntry
 	fills fillHeap
+	// stallLine is the line of an LSU head that found every MSHR busy
+	// and none holding it, else noStall. Only mshrRemove can change
+	// that answer (nothing adds an MSHR while the head is blocked), so
+	// the head's per-cycle retries skip the lookup until it resets.
+	stallLine uint64
 
 	// pend / deferred are the compute-to-commit handoff: loads awaiting
 	// the arbiter's fill times and fully-drained requests whose warps
@@ -188,45 +203,26 @@ type sm struct {
 	loadTxns     uint64
 	storeTxns    uint64
 	stallMSHR    uint64
-
-	// lineFill + lineBuf render line data into a per-SM scratch buffer
-	// when the data source supports it (the cache never retains fill
-	// slices, so reuse is safe).
-	lineFill trace.LineFiller
-	lineBuf  []byte
 }
 
-func newSM(id int, cfg *Config, ctrl modes.Controller, cacheCfg cache.Config, port *mem.Port, data trace.DataSource) *sm {
+func newSM(id int, cfg *Config, ctrl modes.Controller, l1 *cache.Cache, port *mem.Port, data trace.DataSource) *sm {
 	s := &sm{
 		id:         id,
 		cfg:        cfg,
 		ctrl:       ctrl,
 		port:       port,
-		data:       data,
-		l1:         cache.New(cacheCfg, ctrl),
+		lines:      trace.NewLineBuffer(data, cfg.Cache.LineSize),
+		l1:         l1,
 		slots:      make([]blockSlot, cfg.MaxBlocksPerSM),
 		scheds:     make([]WarpScheduler, cfg.SchedulersPerSM),
 		schedWarps: make([][]*warp, cfg.SchedulersPerSM),
 		mshr:       make([]mshrEntry, 0, cfg.MSHRs),
+		stallLine:  noStall,
 	}
 	for i := range s.scheds {
 		s.scheds[i] = *NewWarpScheduler(cfg.Scheduler, cfg.MaxWarpsPerSM)
 	}
-	if lf, ok := data.(trace.LineFiller); ok {
-		s.lineFill = lf
-		s.lineBuf = make([]byte, cfg.Cache.LineSize)
-	}
 	return s
-}
-
-// line returns the backing data of lineAddr, using the per-SM scratch
-// buffer when the source supports in-place rendering.
-func (s *sm) line(lineAddr uint64) []byte {
-	if s.lineFill != nil {
-		s.lineFill.LineInto(s.lineBuf, lineAddr)
-		return s.lineBuf
-	}
-	return s.data.Line(lineAddr)
 }
 
 // allocReq takes a request from the pool (fields zeroed by releaseReq).
@@ -265,16 +261,30 @@ func (s *sm) newMemReq(w *warp, addrs []uint64, store bool) *memReq {
 	return r
 }
 
-// launchBlock installs a block's warps onto the SM if a block slot and
-// enough warp slots are free.
-func (s *sm) launchBlock(k trace.Kernel, block int) bool {
-	slot := slices.IndexFunc(s.slots, func(b blockSlot) bool { return !b.active })
-	free := s.cfg.MaxWarpsPerSM
-	for _, ws := range s.schedWarps {
-		free -= len(ws) // retired warps count until compactWarps drops them
+// enqueue appends a request to the LSU queue. The queue only rewinds
+// when it drains, and in a memory-bound phase it may never drain, so a
+// full buffer whose front half is consumed slides its live requests to
+// the front instead of growing.
+func (s *sm) enqueue(r *memReq) {
+	if len(s.lsu) == cap(s.lsu) && 2*s.lsuHead >= len(s.lsu) {
+		n := copy(s.lsu, s.lsu[s.lsuHead:])
+		clear(s.lsu[n:])
+		s.lsu = s.lsu[:n]
+		s.lsuHead = 0
 	}
-	if slot < 0 || free < k.WarpsPerBlock {
+	s.lsu = append(s.lsu, r)
+}
+
+// launchBlock installs a block's warps onto the SM if a block slot and
+// enough warp slots are free. Dispatch calls it every cycle while blocks
+// are pending, so the refusal is O(1).
+func (s *sm) launchBlock(k trace.Kernel, block int) bool {
+	if s.activeBlocks == len(s.slots) || s.cfg.MaxWarpsPerSM-s.residentWarps < k.WarpsPerBlock {
 		return false
+	}
+	slot := 0
+	for s.slots[slot].active {
+		slot++
 	}
 	ws := make([]warp, k.WarpsPerBlock)
 	s.slots[slot] = blockSlot{active: true, remaining: k.WarpsPerBlock, warps: ws}
@@ -289,6 +299,11 @@ func (s *sm) launchBlock(k trace.Kernel, block int) bool {
 		s.schedWarps[w.sched] = append(s.schedWarps[w.sched], w)
 	}
 	s.liveWarps += k.WarpsPerBlock
+	s.activeBlocks++
+	s.residentWarps += k.WarpsPerBlock
+	if invariant.Active() {
+		s.checkOccupancy()
+	}
 	return true
 }
 
@@ -296,12 +311,34 @@ func (s *sm) launchBlock(k trace.Kernel, block int) bool {
 func (s *sm) compactWarps() {
 	for si, ws := range s.schedWarps {
 		s.scheds[si].Compact(func(p int) bool { return ws[p].flags&wDone == 0 })
+		n := len(ws)
 		ws = slices.DeleteFunc(ws, func(w *warp) bool { return w.flags&wDone != 0 })
 		for p, w := range ws {
 			w.pos = p
 		}
 		s.schedWarps[si] = ws
+		s.residentWarps -= n - len(ws)
 	}
+	if invariant.Active() {
+		s.checkOccupancy()
+	}
+}
+
+// checkOccupancy is the paranoid check of launchBlock's counters: each
+// must equal a recount of what it summarises.
+func (s *sm) checkOccupancy() {
+	active, resident := 0, 0
+	for i := range s.slots {
+		if s.slots[i].active {
+			active++
+		}
+	}
+	for _, ws := range s.schedWarps {
+		resident += len(ws)
+	}
+	invariant.Assert(active == s.activeBlocks && resident == s.residentWarps,
+		"sm %d: %d active blocks and %d resident warps counted, recount %d and %d",
+		s.id, s.activeBlocks, s.residentWarps, active, resident)
 }
 
 // busy reports whether the SM still has work (live warps or in-flight
@@ -384,11 +421,13 @@ func (s *sm) applyFills(now uint64) {
 		ev := s.fills.pop()
 		s.mshrRemove(ev.lineAddr)
 		lineSize := uint64(s.cfg.Cache.LineSize)
-		s.l1.Fill(ev.lineAddr*lineSize, s.line(ev.lineAddr), now)
+		s.l1.Fill(ev.lineAddr*lineSize, s.lines, now)
 	}
 }
 
 // mshrLookup returns the index of lineAddr's MSHR or -1.
+//
+//lint:hotpath
 func (s *sm) mshrLookup(lineAddr uint64) int {
 	for i := range s.mshr {
 		if s.mshr[i].lineAddr == lineAddr {
@@ -401,6 +440,7 @@ func (s *sm) mshrLookup(lineAddr uint64) int {
 // mshrRemove frees lineAddr's MSHR (swap-remove; only called from
 // applyFills, when no pendingLoad holds MSHR indices).
 func (s *sm) mshrRemove(lineAddr uint64) {
+	s.stallLine = noStall
 	if i := s.mshrLookup(lineAddr); i >= 0 {
 		n := len(s.mshr) - 1
 		s.mshr[i] = s.mshr[n]
@@ -481,11 +521,20 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 		// phases would otherwise never refresh it.
 		s.hitSample++
 		if s.hitSample&0xF == 0 && s.l1.TrainsHighCap() {
-			s.l1.TrainHighCap(s.line(lineAddr))
+			s.l1.TrainHighCap(s.lines.Line(lineAddr))
 		}
 		return true
 	}
-	// Miss: merge into an in-flight fetch if one exists.
+	// Miss. A stalled head retrying finds every MSHR still busy.
+	if lineAddr == s.stallLine {
+		if invariant.Active() {
+			ok := s.mshrLookup(lineAddr) >= 0
+			invariant.Assert(!ok && len(s.mshr) >= s.cfg.MSHRs,
+				"sm %d: stalled line %#x: in MSHRs %v, %d of %d busy", s.id, lineAddr, ok, len(s.mshr), s.cfg.MSHRs)
+		}
+		return false
+	}
+	// Merge into an in-flight fetch if one exists.
 	if mi := s.mshrLookup(lineAddr); mi >= 0 {
 		e := &s.mshr[mi]
 		if e.pending {
@@ -503,6 +552,7 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 		return true
 	}
 	if len(s.mshr) >= s.cfg.MSHRs {
+		s.stallLine = lineAddr
 		return false
 	}
 	portIdx := s.port.PushLoad(addr)
@@ -585,12 +635,12 @@ func (s *sm) issue(w *warp, now uint64) bool {
 		if len(inst.Addrs) > 0 {
 			w.flags |= wBlockedMem
 			s.scheds[w.sched].Park(w.pos)
-			s.lsu = append(s.lsu, s.newMemReq(w, inst.Addrs, false))
+			s.enqueue(s.newMemReq(w, inst.Addrs, false))
 			return true
 		}
 	case trace.OpStore:
 		if len(inst.Addrs) > 0 {
-			s.lsu = append(s.lsu, s.newMemReq(w, inst.Addrs, true))
+			s.enqueue(s.newMemReq(w, inst.Addrs, true))
 		}
 	case trace.OpBarrier:
 		s.arriveBarrier(w, now)
@@ -641,6 +691,7 @@ func (s *sm) retire(w *warp, now uint64) {
 	slot.remaining--
 	if slot.remaining == 0 {
 		slot.active = false
+		s.activeBlocks--
 		s.compactWarps() // free warp slots so waiting blocks can launch
 		return
 	}

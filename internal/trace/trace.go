@@ -104,12 +104,41 @@ type DataSource interface {
 
 // LineFiller is an optional DataSource extension: LineInto renders the
 // line into caller-owned storage instead of allocating a fresh slice per
-// call. The simulator probes for it and passes a per-SM scratch buffer,
-// which is safe because the cache copies (or measures) fill data without
-// retaining the slice. dst must be exactly one line long; the fill must
-// overwrite every byte (callers reuse dst across lines).
+// call. LineBuffer probes for it. dst must be exactly one line long; the
+// fill must overwrite every byte (callers reuse dst across lines).
 type LineFiller interface {
 	LineInto(dst []byte, lineAddr uint64)
+}
+
+// LineBuffer renders a DataSource's lines into one reused buffer when
+// the source is a LineFiller, and through Line otherwise. The slice Line
+// returns is valid until the next call, which suits the simulator's
+// consumers: the cache's fill path and the SC value table read fill data
+// without retaining it.
+type LineBuffer struct {
+	data DataSource
+	fill LineFiller
+	buf  []byte
+}
+
+// NewLineBuffer returns a LineBuffer over data for lines of lineSize
+// bytes.
+func NewLineBuffer(data DataSource, lineSize int) *LineBuffer {
+	b := &LineBuffer{data: data}
+	if lf, ok := data.(LineFiller); ok {
+		b.fill = lf
+		b.buf = make([]byte, lineSize)
+	}
+	return b
+}
+
+// Line returns the bytes of lineAddr.
+func (b *LineBuffer) Line(lineAddr uint64) []byte {
+	if b.fill != nil {
+		b.fill.LineInto(b.buf, lineAddr)
+		return b.buf
+	}
+	return b.data.Line(lineAddr)
 }
 
 // Workload is a complete benchmark: its kernels and its data image.

@@ -220,7 +220,9 @@ type ReplayResult struct {
 
 // Replay drives a trace through one compressed cache per SM, with a fresh
 // controller from the factory for each, filling misses from the data
-// source. Writes are ignored (the simulated L1 is write-avoid).
+// source. Each cache is built as sim.New builds an SM's L1
+// (cache.NewL1), and all of them share one size memo. Writes are ignored
+// (the simulated L1 is write-avoid).
 //
 // Replay is structural, not timed: misses fill immediately instead of
 // after the memory latency, so lines become resident slightly earlier
@@ -232,7 +234,8 @@ func Replay(r *Reader, cacheCfg cache.Config, factory func(numSets int) modes.Co
 	res := ReplayResult{Workload: r.Workload(), Policy: policyName}
 	caches := map[int]*cache.Cache{}
 	numSets := cacheCfg.SizeBytes / (cacheCfg.LineSize * cacheCfg.Ways)
-	lineSize := uint64(cacheCfg.LineSize)
+	memo := cache.NewSizeMemo()
+	lines := trace.NewLineBuffer(data, cacheCfg.LineSize)
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -246,14 +249,12 @@ func Replay(r *Reader, cacheCfg cache.Config, factory func(numSets int) modes.Co
 		}
 		c := caches[rec.SM]
 		if c == nil {
-			cfg := cacheCfg
-			cfg.Codecs = cacheCfg.FreshCodecs()
-			c = cache.New(cfg, factory(numSets))
+			c = cache.NewL1(cacheCfg, factory(numSets), memo)
 			caches[rec.SM] = c
 		}
 		res.Records++
 		if out := c.Access(rec.Addr, rec.Cycle); !out.Hit {
-			c.Fill(rec.Addr, data.Line(rec.Addr/lineSize), rec.Cycle)
+			c.Fill(rec.Addr, lines, rec.Cycle)
 		}
 	}
 	for _, c := range caches {
