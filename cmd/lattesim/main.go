@@ -32,8 +32,8 @@ func main() {
 		workloadName = flag.String("workload", "SS", "benchmark abbreviation (see -list)")
 		specFile     = flag.String("spec", "", "run a JSON workload definition instead of a built-in benchmark")
 		policyName   = flag.String("policy", "LATTE-CC", "compression policy (see -list)")
-		sms          = flag.Int("sms", 0, "override SM count (default: Table II's 15)")
-		l1KB         = flag.Int("l1", 0, "override L1 size in KB (default 16)")
+		sms          = flag.Int("sms", 0, "override SM count (0: Table II's 15)")
+		l1KB         = flag.Int("l1", 0, "override L1 size in KB (0: Table II's 16)")
 		capOnly      = flag.Bool("capacity-only", false, "zero decompression latency (Figure 3 study)")
 		latOnly      = flag.Bool("latency-only", false, "no capacity benefit (Figure 4 study)")
 		extraHit     = flag.Uint64("extra-hit-latency", 0, "added L1 hit latency (Figure 1 study)")
@@ -45,57 +45,52 @@ func main() {
 	if *traceDir != "" {
 		// Startup-only registration, before any suite exists.
 		if _, err := tracefile.RegisterCorpus(*traceDir); err != nil {
-			fmt.Fprintf(os.Stderr, "lattesim: %v\n", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 	}
 
 	if *list {
 		fmt.Println("workloads:", strings.Join(harness.Workloads(), " "))
-		fmt.Println("policies: ", strings.Join(policyNames(), " "))
+		fmt.Print("policies: ")
+		for _, p := range harness.Policies() {
+			fmt.Print(" ", p)
+		}
+		fmt.Println()
 		return
 	}
 
 	cfg := sim.DefaultConfig()
-	if *sms > 0 {
+	if *sms != 0 {
 		cfg.NumSMs = *sms
 	}
-	if *l1KB > 0 {
+	if *l1KB != 0 {
 		cfg.Cache.SizeBytes = *l1KB * 1024
 	}
-	suite := harness.NewSuite(cfg)
-	v := harness.Variant{
-		CapacityOnly:    *capOnly,
-		LatencyOnly:     *latOnly,
-		ExtraHitLatency: *extraHit,
+	if err := cfg.Validate(); err != nil {
+		fatal(2, err)
 	}
+	if *specFile != "" {
+		// A spec runs like a built-in: registered under its own name.
+		spec, err := workload.LoadSpecFile(*specFile)
+		if err == nil {
+			err = workload.RegisterExternal(spec)
+		}
+		if err != nil {
+			fatal(1, err)
+		}
+		*workloadName = spec.Name()
+	}
+	suite := harness.NewSuite(cfg)
+	v := harness.Variant{CapacityOnly: *capOnly, LatencyOnly: *latOnly, ExtraHitLatency: *extraHit}
 
 	start := time.Now()
-	var res, base sim.Result
-	var err error
-	if *specFile != "" {
-		spec, lerr := workload.LoadSpecFile(*specFile)
-		if lerr != nil {
-			fmt.Fprintln(os.Stderr, "lattesim:", lerr)
-			os.Exit(1)
-		}
-		runCfg := cfg
-		runCfg.Cache.CapacityOnly = v.CapacityOnly
-		runCfg.Cache.LatencyOnly = v.LatencyOnly
-		runCfg.Cache.ExtraHitLatency = v.ExtraHitLatency
-		res, err = harness.RunWorkload(runCfg, spec, harness.Policy(*policyName))
-		if err == nil {
-			base, err = harness.RunWorkload(cfg, spec, harness.Uncompressed)
-		}
-	} else {
-		res, err = suite.Run(*workloadName, harness.Policy(*policyName), v)
-		if err == nil {
-			base, err = suite.Run(*workloadName, harness.Uncompressed, harness.Variant{})
-		}
+	res, err := suite.Run(*workloadName, harness.Policy(*policyName), v)
+	var base sim.Result
+	if err == nil {
+		base, err = suite.Run(*workloadName, harness.Uncompressed, harness.Variant{})
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lattesim:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	wall := time.Since(start)
 
@@ -120,8 +115,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "lattesim:", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		return
 	}
@@ -155,19 +149,8 @@ func main() {
 	fmt.Print(t.String())
 }
 
-func policyNames() []string {
-	return []string{
-		string(harness.Uncompressed), string(harness.StaticBDI),
-		string(harness.StaticSC), string(harness.StaticBPC),
-		string(harness.LatteCC), string(harness.LatteBDIBPC),
-		string(harness.AdaptiveHits), string(harness.AdaptiveCMP),
-		string(harness.KernelOpt),
-	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+// fatal prints err as lattesim's one-line message and exits with code.
+func fatal(code int, err error) {
+	fmt.Fprintln(os.Stderr, "lattesim:", err)
+	os.Exit(code)
 }

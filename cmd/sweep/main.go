@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	sweep -param l1kb -values 8,16,32,48 -workloads SS,FW -policy LATTE-CC
-//	sweep -param decomp-ii -values 1,2,4,8,14 -workloads SS -jobs 8
+//	sweep -param l1_size_bytes -values 8192,16384,32768,49152 -workloads SS,FW -policy LATTE-CC
+//	sweep -param decomp_init_interval -values 1,2,4,8,14 -workloads SS -jobs 8
 //	sweep -list-params
 //
 // Every (value, workload) run is enumerated up front and drained
@@ -29,43 +29,24 @@ import (
 	"lattecc/internal/tracefile"
 )
 
-// params maps sweepable parameter names to config mutators. min is the
-// smallest value the simulator can be built with; sweep rejects smaller
-// ones before the first run.
+// params maps sweepable parameter names to config mutators, under the
+// wire's names and units; the last two knobs are sweep's alone.
 var params = map[string]struct {
 	desc  string
-	min   int
 	apply func(cfg *sim.Config, v int)
 }{
-	"sms": {"number of SMs", 1,
-		func(c *sim.Config, v int) { c.NumSMs = v }},
-	"l1kb": {"L1 data cache size in KB", 1,
-		func(c *sim.Config, v int) { c.Cache.SizeBytes = v * 1024 }},
-	"l1ports": {"LSU transactions per cycle", 1,
-		func(c *sim.Config, v int) { c.L1Ports = v }},
-	"mshrs": {"outstanding misses per SM", 1,
-		func(c *sim.Config, v int) { c.MSHRs = v }},
-	// decomp-ii starts at 1: cache.Config reads 0 as "default 2", so a
-	// 0 would simulate the 2 point again under another fingerprint.
-	"decomp-ii": {"decompressor initiation interval (cycles)", 1,
-		func(c *sim.Config, v int) { c.Cache.DecompInitInterval = uint64(v) }},
-	"extra-hit-latency": {"added L1 hit latency (cycles)", 0,
-		func(c *sim.Config, v int) { c.Cache.ExtraHitLatency = uint64(v) }},
-	"warps": {"max warps per SM", 1,
-		func(c *sim.Config, v int) { c.MaxWarpsPerSM = v }},
-	"l2kb": {"L2 size in KB", minL2KB(),
-		func(c *sim.Config, v int) { c.Mem.L2SizeBytes = v * 1024 }},
+	"num_sms":              {"number of SMs", func(c *sim.Config, v int) { c.NumSMs = v }},
+	"max_warps_per_sm":     {"max warps per SM", func(c *sim.Config, v int) { c.MaxWarpsPerSM = v }},
+	"l1_ports":             {"LSU transactions per cycle", func(c *sim.Config, v int) { c.L1Ports = v }},
+	"mshrs":                {"outstanding misses per SM", func(c *sim.Config, v int) { c.MSHRs = v }},
+	"l1_size_bytes":        {"L1 data cache size in bytes", func(c *sim.Config, v int) { c.Cache.SizeBytes = v }},
+	"l2_size_bytes":        {"L2 size in bytes", func(c *sim.Config, v int) { c.Mem.L2SizeBytes = v }},
+	"decomp_init_interval": {"decompressor initiation interval (cycles)", func(c *sim.Config, v int) { c.Cache.DecompInitInterval = uint64(v) }},
+	"extra_hit_latency":    {"added L1 hit latency (cycles)", func(c *sim.Config, v int) { c.Cache.ExtraHitLatency = uint64(v) }},
 }
 
-// minL2KB is the smallest whole-KB L2 holding one set in every bank of
-// the default machine.
-func minL2KB() int {
-	m := sim.DefaultConfig().Mem
-	return (m.LineSize*m.L2Ways*m.L2Banks + 1023) / 1024
-}
-
-// parseValues parses a -values list for param, rejecting any value below
-// the parameter's minimum.
+// parseValues parses a -values list for param, refusing any value that
+// does not build a machine (sim.Config.Validate) before the first run.
 func parseValues(param, list string) ([]int, error) {
 	p, ok := params[param]
 	if !ok {
@@ -73,12 +54,20 @@ func parseValues(param, list string) ([]int, error) {
 	}
 	var vals []int
 	for _, f := range strings.Split(list, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
+		// Unsigned, so a negative latency cannot wrap into a huge one.
+		u, err := strconv.ParseUint(strings.TrimSpace(f), 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("bad value %q: %v", f, err)
 		}
-		if v < p.min {
-			return nil, fmt.Errorf("-param %s needs values >= %d, got %d", param, p.min, v)
+		v := int(u)
+		// A 0 interval is cache.Config's "default 2" under another fingerprint.
+		if param == "decomp_init_interval" && v == 0 {
+			return nil, fmt.Errorf("-param %s needs values >= 1, got 0", param)
+		}
+		cfg := sim.DefaultConfig()
+		p.apply(&cfg, v)
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("-param %s %d: %v", param, v, err)
 		}
 		vals = append(vals, v)
 	}
@@ -100,13 +89,11 @@ func main() {
 	if *traceDir != "" {
 		// Startup-only registration, before any suite exists.
 		if _, err := tracefile.RegisterCorpus(*traceDir); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 	}
 	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "sweep: -jobs must be >= 1, got %d\n", *jobs)
-		os.Exit(2)
+		fatal(2, fmt.Errorf("-jobs must be >= 1, got %d", *jobs))
 	}
 	if *listParams {
 		names := make([]string, 0, len(params))
@@ -115,15 +102,14 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Printf("%-18s %s\n", n, params[n].desc)
+			fmt.Printf("%-22s %s\n", n, params[n].desc)
 		}
 		return
 	}
 
 	vals, err := parseValues(*param, *values)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
+		fatal(2, err)
 	}
 	p := params[*param]
 	var names []string
@@ -140,8 +126,7 @@ func main() {
 		var err error
 		st, err = resultstore.Open(*store, resultstore.Options{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: opening result store: %v\n", err)
-			os.Exit(2)
+			fatal(2, fmt.Errorf("opening result store: %v", err))
 		}
 	}
 
@@ -160,8 +145,7 @@ func main() {
 			reqsFor(names, harness.Policy(*policyName))...)...)
 	}
 	if err := harness.RunAllSuites(*jobs, suites...); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 
 	fmt.Printf("param,value,workload,policy,cycles,ipc,hitrate,speedup\n")
@@ -170,13 +154,11 @@ func main() {
 		for _, name := range names {
 			base, err := suite.Run(name, harness.Uncompressed, harness.Variant{})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
+				fatal(1, err)
 			}
 			res, err := suite.Run(name, harness.Policy(*policyName), harness.Variant{})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
+				fatal(1, err)
 			}
 			fmt.Printf("%s,%d,%s,%s,%d,%.4f,%.4f,%.4f\n",
 				*param, v, name, *policyName,
@@ -193,4 +175,10 @@ func reqsFor(names []string, p harness.Policy) []harness.RunRequest {
 		reqs[i] = harness.RunRequest{Workload: n, Policy: p}
 	}
 	return reqs
+}
+
+// fatal prints err as sweep's one-line message and exits with code.
+func fatal(code int, err error) {
+	fmt.Fprintln(os.Stderr, "sweep:", err)
+	os.Exit(code)
 }

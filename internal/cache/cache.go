@@ -243,19 +243,25 @@ type Cache struct {
 	sizes [modes.NumModes]*sizeTable
 }
 
-// New builds a cache; it panics on inconsistent geometry (configs come
-// from this repository's harness, not external input).
-func New(cfg Config, ctrl modes.Controller) *Cache {
-	if cfg.LineSize <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
-		panic(fmt.Sprintf("cache: bad config %+v", cfg))
+// Validate reports whether the geometry builds a cache (bounds: sim's).
+func (c Config) Validate() error {
+	switch {
+	case c.LineSize <= 0 || c.Ways <= 0 || c.SizeBytes <= 0:
+		return fmt.Errorf("cache: size %d, line size %d and ways %d must be positive", c.SizeBytes, c.LineSize, c.Ways)
+	case c.LineSize%SubBlockSize != 0 || c.LineSize/SubBlockSize > math.MaxUint16:
+		return fmt.Errorf("cache: line size %d must be a multiple of the %d-byte sub-block, at most 65535 of them", c.LineSize, SubBlockSize)
+	case c.SizeBytes/c.LineSize < c.Ways: // no whole set, without overflowing LineSize*Ways
+		return fmt.Errorf("cache: size %d is below one set of %d ways of %d-byte lines", c.SizeBytes, c.Ways, c.LineSize)
 	}
-	if cfg.LineSize%SubBlockSize != 0 || cfg.LineSize/SubBlockSize > math.MaxUint16 {
-		panic("cache: line size must be a multiple of the sub-block size, at most 65535 of them")
+	return nil
+}
+
+// New builds a cache; it panics with cfg.Validate's error.
+func New(cfg Config, ctrl modes.Controller) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineSize * cfg.Ways)
-	if numSets == 0 {
-		panic("cache: zero sets")
-	}
 	c := &Cache{cfg: cfg, ctrl: ctrl, numSets: numSets, sets: make([]set, numSets)}
 	c.trainer, _ = cfg.Codecs[modes.HighCap].(*compress.SC)
 	subPerSet := cfg.Ways * cfg.LineSize / SubBlockSize

@@ -503,6 +503,51 @@ func TestRouterRejections(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsUnbuildableOverrides: the router judges a
+// submission's machine by the same ConfigOverrides.Apply as latteccd, so
+// every unbuildable override answers 400 here too, counts as invalid,
+// and never reaches a worker.
+func TestRouterRejectsUnbuildableOverrides(t *testing.T) {
+	wkr := newStubWorker(t, stubDone)
+	rt, rts := startRouter(t, Config{Policy: "fingerprint"})
+	registerWorker(t, rts.URL, wkr.ts.URL)
+
+	m := sim.DefaultConfig().Mem
+	bad := []string{
+		`{"l2_size_bytes":1}`,
+		`{"num_sms":1073741824}`,
+		`{"l1_size_bytes":1099511627776}`,
+		`{"mshrs":1000000000000}`,
+		fmt.Sprintf(`{"l2_size_bytes":%d}`, m.LineSize*m.L2Ways*m.L2Banks-1),
+		fmt.Sprintf(`{"num_sms":%d}`, sim.MaxSMs+1),
+		fmt.Sprintf(`{"max_warps_per_sm":%d}`, sim.MaxWarps+1),
+		fmt.Sprintf(`{"l1_ports":%d}`, sim.MaxL1Ports+1),
+		fmt.Sprintf(`{"mshrs":%d}`, sim.MaxMSHRs+1),
+		fmt.Sprintf(`{"l1_size_bytes":%d}`, sim.MaxL1Bytes+1),
+		fmt.Sprintf(`{"l2_size_bytes":%d}`, sim.MaxL2Bytes+1),
+	}
+	for _, ov := range bad {
+		body := `{"workload":"BO","policy":"LATTE-CC","config":` + ov + `}`
+		resp, err := http.Post(rts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", ov, resp.StatusCode)
+		}
+	}
+	if got := rt.metrics.rejectedInvalid.Load(); got != uint64(len(bad)) {
+		t.Errorf("rejected invalid = %d, want %d", got, len(bad))
+	}
+	wkr.mu.Lock()
+	placed := wkr.accepted
+	wkr.mu.Unlock()
+	if placed != 0 {
+		t.Errorf("%d unbuildable submissions reached the worker", placed)
+	}
+}
+
 // TestRouterMetricsAggregation: the router's /metrics carries its own
 // counters plus the per-worker scrapes summed by series.
 func TestRouterMetricsAggregation(t *testing.T) {

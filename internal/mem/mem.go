@@ -62,16 +62,23 @@ type System struct {
 	stats Stats
 }
 
-// New creates a memory system; it panics on an inconsistent configuration
-// since configs are produced by this repository's own harness.
+// Validate reports whether the config builds a memory system (bounds: sim's).
+func (c Config) Validate() error {
+	if c.LineSize <= 0 || c.L2Ways <= 0 || c.L2Banks <= 0 || c.DRAMChannels <= 0 {
+		return fmt.Errorf("mem: line size, L2 ways, L2 banks and DRAM channels must be positive: %+v", c)
+	}
+	if c.L2SizeBytes/c.LineSize/c.L2Ways < c.L2Banks { // no set per bank, without overflowing the product
+		return fmt.Errorf("mem: L2 of %d bytes is too small for %d banks of %d ways", c.L2SizeBytes, c.L2Banks, c.L2Ways)
+	}
+	return nil
+}
+
+// New creates a memory system; it panics with cfg.Validate's error.
 func New(cfg Config) *System {
-	if cfg.LineSize <= 0 || cfg.L2Banks <= 0 || cfg.DRAMChannels <= 0 {
-		panic(fmt.Sprintf("mem: bad config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	setsPerBank := cfg.L2SizeBytes / (cfg.LineSize * cfg.L2Ways * cfg.L2Banks)
-	if setsPerBank == 0 {
-		panic("mem: L2 too small for bank/way configuration")
-	}
 	s := &System{cfg: cfg, chans: make([]uint64, cfg.DRAMChannels)}
 	for i := 0; i < cfg.L2Banks; i++ {
 		s.banks = append(s.banks, newL2Bank(setsPerBank, cfg.L2Ways))

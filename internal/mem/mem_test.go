@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -201,4 +202,35 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	New(Config{LineSize: 128, L2Banks: 0, DRAMChannels: 1, L2SizeBytes: 1 << 20, L2Ways: 8})
+}
+
+// TestValidateRefusesUnbuildable: New panics only through Validate,
+// which refuses zero ways (once a divide by zero in New) and an L2
+// below one set per bank, and accepts exactly one set per bank.
+func TestValidateRefusesUnbuildable(t *testing.T) {
+	oneSet := DefaultConfig()
+	oneSet.L2SizeBytes = oneSet.LineSize * oneSet.L2Ways * oneSet.L2Banks
+	if err := oneSet.Validate(); err != nil {
+		t.Fatalf("one set per bank: %v", err)
+	}
+	New(oneSet)
+
+	noWays, small := DefaultConfig(), oneSet
+	noWays.L2Ways = 0
+	small.L2SizeBytes--
+	for _, cfg := range []Config{noWays, small} {
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%+v: accepted", cfg)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("%+v: New panicked with %v, want Validate's %v", cfg, r, err)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }

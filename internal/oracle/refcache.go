@@ -43,10 +43,10 @@ type refLine struct {
 
 // NewRefCache builds the reference model for one cache geometry.
 func NewRefCache(cfg cache.Config) *RefCache {
-	numSets := cfg.SizeBytes / (cfg.LineSize * cfg.Ways)
-	if numSets <= 0 || cfg.LineSize%cache.SubBlockSize != 0 {
-		panic(fmt.Sprintf("oracle: bad cache geometry %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
+	numSets := cfg.SizeBytes / (cfg.LineSize * cfg.Ways)
 	return &RefCache{
 		cfg:      cfg,
 		numSets:  numSets,

@@ -227,7 +227,7 @@ type JobStatus struct {
 }
 
 // ConfigOverrides is the subset of sim.Config a request may change.
-// Pointer fields distinguish "absent" from zero; every present value is
+// Pointer fields distinguish "absent" from zero; the overlaid config is
 // validated before a suite is keyed on it.
 type ConfigOverrides struct {
 	NumSMs          *int    `json:"num_sms,omitempty"`
@@ -241,54 +241,31 @@ type ConfigOverrides struct {
 	MaxCycles       *uint64 `json:"max_cycles,omitempty"`
 }
 
-// Apply copies cfg, overlays the present overrides, and validates them.
-// Exported for the cluster router, which applies a submission's
-// overrides to its own base config to compute the affinity fingerprint
-// without owning a suite.
+// Apply copies cfg, overlays the present overrides, and validates the
+// result. The cluster router calls it too, to compute a submission's
+// affinity fingerprint without owning a suite.
 func (o *ConfigOverrides) Apply(cfg sim.Config) (sim.Config, error) {
 	if o == nil {
 		return cfg, nil
 	}
-	setInt := func(name string, dst *int, v *int) error {
-		if v == nil {
-			return nil
-		}
-		if *v < 1 {
-			return fmt.Errorf("config override %s must be >= 1, got %d", name, *v)
-		}
-		*dst = *v
-		return nil
-	}
-	setUint := func(name string, dst *uint64, v *uint64) error {
-		if v == nil {
-			return nil
-		}
-		if *v == 0 {
-			return fmt.Errorf("config override %s must be > 0", name)
-		}
-		*dst = *v
-		return nil
-	}
-	for _, err := range []error{
-		setInt("num_sms", &cfg.NumSMs, o.NumSMs),
-		setInt("max_warps_per_sm", &cfg.MaxWarpsPerSM, o.MaxWarpsPerSM),
-		setInt("l1_ports", &cfg.L1Ports, o.L1Ports),
-		setInt("mshrs", &cfg.MSHRs, o.MSHRs),
-		setInt("l1_size_bytes", &cfg.Cache.SizeBytes, o.L1SizeBytes),
-		setInt("l2_size_bytes", &cfg.Mem.L2SizeBytes, o.L2SizeBytes),
-		setUint("max_instructions", &cfg.MaxInstructions, o.MaxInstructions),
-		setUint("max_cycles", &cfg.MaxCycles, o.MaxCycles),
-	} {
-		if err != nil {
-			return sim.Config{}, err
-		}
-	}
-	if o.WriteThroughL1 != nil {
-		cfg.WriteThroughL1 = *o.WriteThroughL1
-	}
-	if cfg.Cache.SizeBytes < cfg.Cache.LineSize*cfg.Cache.Ways {
-		return sim.Config{}, fmt.Errorf("config override l1_size_bytes %d is below one set (%d)",
-			cfg.Cache.SizeBytes, cfg.Cache.LineSize*cfg.Cache.Ways)
+	overlay(&cfg.NumSMs, o.NumSMs)
+	overlay(&cfg.MaxWarpsPerSM, o.MaxWarpsPerSM)
+	overlay(&cfg.L1Ports, o.L1Ports)
+	overlay(&cfg.MSHRs, o.MSHRs)
+	overlay(&cfg.Cache.SizeBytes, o.L1SizeBytes)
+	overlay(&cfg.Mem.L2SizeBytes, o.L2SizeBytes)
+	overlay(&cfg.WriteThroughL1, o.WriteThroughL1)
+	overlay(&cfg.MaxInstructions, o.MaxInstructions)
+	overlay(&cfg.MaxCycles, o.MaxCycles)
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, fmt.Errorf("config overrides: %w", err)
 	}
 	return cfg, nil
+}
+
+// overlay sets *dst to *v when the override is present.
+func overlay[T any](dst, v *T) {
+	if v != nil {
+		*dst = *v
+	}
 }

@@ -815,3 +815,80 @@ func TestOverrideApply(t *testing.T) {
 		t.Error("apply must not mutate its input")
 	}
 }
+
+// unbuildableOverrides are config overrides that name no buildable
+// machine: four that reached sim.New's allocations (or its L2 panic)
+// before sim.Config.Validate bounded the knobs, an L2 below one set per
+// bank and way, and each bounded knob at its maximum + 1.
+func unbuildableOverrides() []string {
+	m := sim.DefaultConfig().Mem
+	return []string{
+		`{"l2_size_bytes":1}`,
+		`{"num_sms":1073741824}`,
+		`{"l1_size_bytes":1099511627776}`,
+		`{"mshrs":1000000000000}`,
+		fmt.Sprintf(`{"l2_size_bytes":%d}`, m.LineSize*m.L2Ways*m.L2Banks-1),
+		fmt.Sprintf(`{"num_sms":%d}`, sim.MaxSMs+1),
+		fmt.Sprintf(`{"max_warps_per_sm":%d}`, sim.MaxWarps+1),
+		fmt.Sprintf(`{"l1_ports":%d}`, sim.MaxL1Ports+1),
+		fmt.Sprintf(`{"mshrs":%d}`, sim.MaxMSHRs+1),
+		fmt.Sprintf(`{"l1_size_bytes":%d}`, sim.MaxL1Bytes+1),
+		fmt.Sprintf(`{"l2_size_bytes":%d}`, sim.MaxL2Bytes+1),
+	}
+}
+
+// TestUnbuildableOverridesRejected: every unbuildable override answers
+// 400, keys no resident suite, and counts as an invalid rejection.
+func TestUnbuildableOverridesRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	bad := unbuildableOverrides()
+	for _, ov := range bad {
+		body := `{"workload":"BO","policy":"Uncompressed","config":` + ov + `}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %s", ov, resp.StatusCode, msg)
+		}
+	}
+	s.mu.Lock()
+	suites := len(s.suites)
+	s.mu.Unlock()
+	if suites != 0 {
+		t.Errorf("%d resident suites after only rejected submissions", suites)
+	}
+	if got := scrapeCounter(t, ts.URL, `latteccd_jobs_rejected_total{reason="invalid"}`); got != uint64(len(bad)) {
+		t.Errorf("rejected invalid = %d, want %d", got, len(bad))
+	}
+}
+
+// TestServeWarmOverridesKeepFingerprints: the overrides the serve-warm
+// benchmark sends (L1 16/32 KiB, MSHRs 32/16, max_cycles 50M + salt) are
+// accepted on the tiny machine and key the fingerprints they always did.
+func TestServeWarmOverridesKeepFingerprints(t *testing.T) {
+	base := sim.ScaledConfig(false, true)
+	for _, tc := range []struct {
+		l1, mshrs int
+		salt      uint64
+		want      uint64
+	}{
+		{16384, 32, 0, 0xda317fcafe74962a},
+		{16384, 32, 1, 0x777aef942bc30451},
+		{16384, 16, 2, 0x4b9b60020dcfdee4},
+		{32768, 32, 0, 0x111aa871481a4fea},
+		{32768, 16, 1, 0x861e37dc1eb15dc1},
+		{32768, 16, 2, 0x578d37a455b5c724},
+	} {
+		maxCycles := base.MaxCycles + tc.salt
+		cfg, err := (&ConfigOverrides{L1SizeBytes: &tc.l1, MSHRs: &tc.mshrs, MaxCycles: &maxCycles}).Apply(base)
+		if err != nil {
+			t.Fatalf("l1 %d, mshrs %d, salt %d: %v", tc.l1, tc.mshrs, tc.salt, err)
+		}
+		if got := cfg.Fingerprint(); got != tc.want {
+			t.Errorf("l1 %d, mshrs %d, salt %d: fingerprint %#016x, want %#016x", tc.l1, tc.mshrs, tc.salt, got, tc.want)
+		}
+	}
+}

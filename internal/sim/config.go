@@ -120,18 +120,52 @@ func ScaledConfig(quick, tiny bool) Config {
 	return cfg
 }
 
-// Validate panics on inconsistent configurations.
-func (c Config) Validate() {
-	if c.NumSMs <= 0 || c.MaxWarpsPerSM <= 0 || c.MaxBlocksPerSM <= 0 ||
-		c.SchedulersPerSM <= 0 || c.L1Ports <= 0 || c.MSHRs <= 0 {
-		panic(fmt.Sprintf("sim: bad config %+v", c))
+// Bounds on the knobs that size sim.New's allocations: room for Table II
+// and the modern machines Accel-Sim models, no more (DESIGN.md §9).
+const (
+	MaxSMs     = 256
+	MaxWarps   = 1024 // per SM; also bounds MaxBlocksPerSM and SchedulersPerSM
+	MaxL1Ports = 64
+	MaxMSHRs   = 4096
+	MaxL1Bytes = 1 << 20
+	MaxL2Bytes = 128 << 20
+)
+
+// Validate is the one buildability rule: the bounds above, the L1 and
+// memory checks, and those that span them. Every front end asks it.
+func (c Config) Validate() error {
+	for _, k := range []struct {
+		name   string
+		v, max int
+	}{
+		{"NumSMs", c.NumSMs, MaxSMs},
+		{"MaxWarpsPerSM", c.MaxWarpsPerSM, MaxWarps},
+		{"MaxBlocksPerSM", c.MaxBlocksPerSM, MaxWarps},
+		{"SchedulersPerSM", c.SchedulersPerSM, MaxWarps},
+		{"L1Ports", c.L1Ports, MaxL1Ports},
+		{"MSHRs", c.MSHRs, MaxMSHRs},
+		{"Cache.SizeBytes", c.Cache.SizeBytes, MaxL1Bytes},
+		{"Mem.L2SizeBytes", c.Mem.L2SizeBytes, MaxL2Bytes},
+	} {
+		if k.v < 1 || k.v > k.max {
+			return fmt.Errorf("sim: %s %d is outside [1, %d]", k.name, k.v, k.max)
+		}
 	}
-	if c.Cache.LineSize != c.Mem.LineSize {
-		panic("sim: L1 and memory line sizes differ")
+	if err := c.Cache.Validate(); err != nil {
+		return err
 	}
-	if c.ToleranceWindow == 0 {
-		panic("sim: zero tolerance window")
+	if err := c.Mem.Validate(); err != nil {
+		return err
 	}
+	switch {
+	case c.Cache.LineSize != c.Mem.LineSize:
+		return fmt.Errorf("sim: L1 line size %d differs from memory's %d", c.Cache.LineSize, c.Mem.LineSize)
+	case c.ToleranceWindow == 0:
+		return fmt.Errorf("sim: zero tolerance window")
+	case c.MaxInstructions == 0 || c.MaxCycles == 0:
+		return fmt.Errorf("sim: MaxInstructions and MaxCycles must be positive")
+	}
+	return nil
 }
 
 // Fingerprint folds the scalar machine parameters of the config into one

@@ -166,9 +166,11 @@ type Sim struct {
 
 // New builds a simulator for one workload. factory builds the compression
 // controller for each SM (use the same policy for all SMs, as the paper
-// does).
+// does). It panics with cfg.Validate's error.
 func New(cfg Config, work trace.Workload, factory ControllerFactory) *Sim {
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	m := mem.New(cfg.Mem)
 	s := &Sim{cfg: cfg, mem: m, work: work}
 	numSets := cfg.Cache.SizeBytes / (cfg.Cache.LineSize * cfg.Cache.Ways)
