@@ -69,6 +69,9 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(2, err)
 	}
+	if err := harness.CheckPolicy(cfg, harness.Policy(*policyName)); err != nil {
+		fatal(2, err)
+	}
 	if *specFile != "" {
 		// A spec runs like a built-in: registered under its own name.
 		spec, err := workload.LoadSpecFile(*specFile)

@@ -89,15 +89,25 @@ func TestSpecRunsLikeABuiltin(t *testing.T) {
 }
 
 // TestUnbuildableMachineExits2: a machine flag that sim.Config.Validate
-// refuses is a usage error, reported in one line before any run.
+// refuses, or an L1 too small for the policy's dedicated sets
+// (harness.CheckPolicy), is a usage error, reported in one line before
+// any run.
 func TestUnbuildableMachineExits2(t *testing.T) {
-	for _, args := range []string{"-sms -1", "-l1 -1", "-sms 257", "-l1 1025"} {
+	for _, args := range []string{"-sms -1", "-l1 -1", "-sms 257", "-l1 1025",
+		"-l1 1 -policy LATTE-CC", "-l1 5 -policy LATTE-CC-BDI-BPC",
+		"-l1 1 -policy Adaptive-Hit-Count", "-l1 1 -policy Adaptive-CMP"} {
 		stdout, stderr, code := runMain(t, "-workload FW "+args)
 		if code != 2 {
 			t.Errorf("%s: exit status %d, want 2\n%s%s", args, code, stdout, stderr)
 		}
 		if msg := strings.TrimSpace(string(stderr)); msg == "" || strings.Contains(msg, "\n") {
 			t.Errorf("%s: want a one-line message, got %q", args, msg)
+		}
+	}
+	// The same 2-set L1 runs every policy without dedicated sets.
+	for _, p := range []string{"Static-BDI", "Kernel-OPT"} {
+		if _, stderr, code := runMain(t, "-workload BO -l1 1 -policy "+p); code != 0 {
+			t.Errorf("%s on a 1 KiB L1: exit status %d\n%s", p, code, stderr)
 		}
 	}
 }

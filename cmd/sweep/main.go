@@ -112,6 +112,13 @@ func main() {
 		fatal(2, err)
 	}
 	p := params[*param]
+	for _, v := range vals {
+		cfg := sim.DefaultConfig()
+		p.apply(&cfg, v)
+		if err := harness.CheckPolicy(cfg, harness.Policy(*policyName)); err != nil {
+			fatal(2, fmt.Errorf("-param %s %d: %v", *param, v, err))
+		}
+	}
 	var names []string
 	for _, n := range strings.Split(*workloads, ",") {
 		names = append(names, strings.TrimSpace(n))

@@ -145,3 +145,18 @@ func TestDecompIIZeroExits2(t *testing.T) {
 		t.Errorf("output %q does not name the minimum", out)
 	}
 }
+
+// TestPolicyMisfitExits2: a 1 KiB L1 builds but cannot host LATTE-CC's
+// dedicated sets, so sweep refuses the point before simulating.
+func TestPolicyMisfitExits2(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "SWEEP_MAIN_ARGS=-param l1_size_bytes -values 16384,1024 -workloads FW -policy LATTE-CC")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("sweep -param l1_size_bytes -values 16384,1024: err %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "dedicated sets") {
+		t.Errorf("output %q does not name the dedicated sets", out)
+	}
+}

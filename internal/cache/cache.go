@@ -256,12 +256,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// NumSets returns the set count of the geometry (valid once Validate
+// accepts it).
+func (c Config) NumSets() int { return c.SizeBytes / (c.LineSize * c.Ways) }
+
 // New builds a cache; it panics with cfg.Validate's error.
 func New(cfg Config, ctrl modes.Controller) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.SizeBytes / (cfg.LineSize * cfg.Ways)
+	numSets := cfg.NumSets()
 	c := &Cache{cfg: cfg, ctrl: ctrl, numSets: numSets, sets: make([]set, numSets)}
 	c.trainer, _ = cfg.Codecs[modes.HighCap].(*compress.SC)
 	subPerSet := cfg.Ways * cfg.LineSize / SubBlockSize

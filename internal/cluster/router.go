@@ -467,13 +467,13 @@ func (rt *Router) release(j *cjob) {
 // handleSubmit admits one cluster job; Router.gate.Admit holds the
 // fence around it, so no watcher can spawn behind the drain.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Parse just enough to count runs and compute the affinity
-	// fingerprint; full validation (workload/policy names) is the
-	// worker's job, and its 4xx answers are relayed verbatim.
+	// Parse just enough to count runs, check the machine, and compute
+	// the affinity fingerprint; workload and policy names are the
+	// worker's to validate, and its 4xx answers are relayed verbatim.
 	body, req, err := server.ReadSubmit(w, r)
 	var cfg sim.Config
 	if err == nil {
-		cfg, err = req.Config.Apply(rt.cfg.BaseConfig)
+		cfg, err = req.Machine(rt.cfg.BaseConfig)
 	}
 	if err != nil {
 		rt.metrics.rejectedInvalid.Add(1)

@@ -504,9 +504,10 @@ func TestRouterRejections(t *testing.T) {
 }
 
 // TestRouterRejectsUnbuildableOverrides: the router judges a
-// submission's machine by the same ConfigOverrides.Apply as latteccd, so
-// every unbuildable override answers 400 here too, counts as invalid,
-// and never reaches a worker.
+// submission's machine by the same SubmitRequest.Machine as latteccd, so
+// every unbuildable override, and an L1 too small for LATTE-CC's
+// dedicated sets, answers 400 here too, counts as invalid, and never
+// reaches a worker; a static policy on that L1 is routed.
 func TestRouterRejectsUnbuildableOverrides(t *testing.T) {
 	wkr := newStubWorker(t, stubDone)
 	rt, rts := startRouter(t, Config{Policy: "fingerprint"})
@@ -525,6 +526,7 @@ func TestRouterRejectsUnbuildableOverrides(t *testing.T) {
 		fmt.Sprintf(`{"mshrs":%d}`, sim.MaxMSHRs+1),
 		fmt.Sprintf(`{"l1_size_bytes":%d}`, sim.MaxL1Bytes+1),
 		fmt.Sprintf(`{"l2_size_bytes":%d}`, sim.MaxL2Bytes+1),
+		`{"l1_size_bytes":1024}`, // 2 sets cannot host 12 dedicated sets
 	}
 	for _, ov := range bad {
 		body := `{"workload":"BO","policy":"LATTE-CC","config":` + ov + `}`
@@ -545,6 +547,16 @@ func TestRouterRejectsUnbuildableOverrides(t *testing.T) {
 	wkr.mu.Unlock()
 	if placed != 0 {
 		t.Errorf("%d unbuildable submissions reached the worker", placed)
+	}
+
+	resp, err := http.Post(rts.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"workload":"BO","policy":"Static-BDI","config":{"l1_size_bytes":1024}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("Static-BDI on a 1 KiB L1: status %d, want 202", resp.StatusCode)
 	}
 }
 

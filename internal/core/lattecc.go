@@ -14,6 +14,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -174,22 +175,32 @@ type Controller struct {
 var _ modes.Controller = (*Controller)(nil)
 var _ modes.Snapshotter = (*Controller)(nil)
 
-// New builds a controller. It panics if the dedicated sets cannot fit in
-// the cache's set count.
+// Validate reports whether the config builds a controller: the cache
+// must have a set for every mode's dedicated sets, and the warmup and
+// learning windows must fit in the period.
+func (c Config) Validate() error {
+	need := c.DedicatedSetsPerMode * int(modes.NumModes)
+	switch {
+	case c.DedicatedSetsPerMode < 1:
+		return fmt.Errorf("core: %d dedicated sets per mode, need at least 1", c.DedicatedSetsPerMode)
+	case c.NumSets < need:
+		return fmt.Errorf("core: %d sets cannot host %d dedicated sets", c.NumSets, need)
+	case c.EPAccesses == 0 || c.EPsPerPeriod == 0 || c.LearningEPs == 0:
+		return errors.New("core: zero-length phases")
+	case c.LearningStartEP+c.LearningEPs+c.CarryoverEPs > c.EPsPerPeriod:
+		return errors.New("core: learning window exceeds period")
+	case c.WarmupEPs > c.LearningStartEP:
+		return errors.New("core: warmup window starts before the period")
+	}
+	return nil
+}
+
+// New builds a controller; it panics with cfg.Validate's error.
 func New(cfg Config) *Controller {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	need := cfg.DedicatedSetsPerMode * int(modes.NumModes)
-	if cfg.NumSets < need {
-		panic(fmt.Sprintf("core: %d sets cannot host %d dedicated sets", cfg.NumSets, need))
-	}
-	if cfg.EPAccesses == 0 || cfg.EPsPerPeriod == 0 || cfg.LearningEPs == 0 {
-		panic("core: zero-length phases")
-	}
-	if cfg.LearningStartEP+cfg.LearningEPs+cfg.CarryoverEPs > cfg.EPsPerPeriod {
-		panic("core: learning window exceeds period")
-	}
-	if cfg.WarmupEPs > cfg.LearningStartEP {
-		panic("core: warmup window starts before the period")
-	}
 	c := &Controller{
 		cfg:       cfg,
 		name:      cfg.Decision.String(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -325,13 +326,29 @@ func TestConfigValidationPanics(t *testing.T) {
 		{NumSets: 4, EPAccesses: 256, EPsPerPeriod: 10, LearningEPs: 1, DedicatedSetsPerMode: 4},
 		{NumSets: 32, EPAccesses: 0, EPsPerPeriod: 10, LearningEPs: 1, DedicatedSetsPerMode: 4},
 		{NumSets: 32, EPAccesses: 256, EPsPerPeriod: 2, LearningEPs: 2, CarryoverEPs: 2, DedicatedSetsPerMode: 4},
+		{NumSets: 32, EPAccesses: 256, EPsPerPeriod: 10, LearningEPs: 1, DedicatedSetsPerMode: 0},
 	}
 	for i, cfg := range cases {
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("case %d: Validate accepted it", i)
+			continue
+		}
 		func() {
-			defer func() { recover() }()
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("case %d: New panicked with %v, want Validate's %q", i, r, err)
+				}
+			}()
 			New(cfg)
-			t.Errorf("case %d should panic", i)
 		}()
+	}
+	// The smallest L1 the defaults fit: one set per dedicated set.
+	if err := DefaultConfig(12).Validate(); err != nil {
+		t.Errorf("12 sets: %v", err)
+	}
+	if err := DefaultConfig(11).Validate(); err == nil {
+		t.Error("11 sets cannot host 12 dedicated sets")
 	}
 }
 

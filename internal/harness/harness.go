@@ -205,11 +205,28 @@ func Policies() []Policy {
 	}
 }
 
+// CheckPolicy reports whether policy p can run on cfg, a machine
+// cfg.Validate accepts. The adaptive policies need an L1 with a set for
+// each of core's dedicated sampling sets; every other policy runs on any
+// machine. An unknown name passes: admission refuses it on its own.
+func CheckPolicy(cfg sim.Config, p Policy) error {
+	switch p {
+	case LatteCC, LatteBDIBPC, AdaptiveHits, AdaptiveCMP:
+		if err := core.DefaultConfig(cfg.Cache.NumSets()).Validate(); err != nil {
+			return fmt.Errorf("policy %s: %w", p, err)
+		}
+	}
+	return nil
+}
+
 // factoryFor resolves policy p to its controller factory and installs
 // the policy's HighCap codec override in cfg (Static-BPC and the BDI+BPC
 // LATTE variant swap SC for BPC) — the one place a policy becomes
 // simulator wiring, shared by simulations and trace replays.
 func factoryFor(cfg *sim.Config, p Policy, schedule []modes.Mode) (sim.ControllerFactory, error) {
+	if err := CheckPolicy(*cfg, p); err != nil {
+		return nil, err
+	}
 	switch p {
 	case Uncompressed:
 		return func(int) modes.Controller {

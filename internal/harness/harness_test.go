@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -60,6 +61,31 @@ func TestUnknownWorkloadAndPolicy(t *testing.T) {
 	}
 	if _, err := s.Run("BO", Policy("bogus"), Variant{}); err == nil {
 		t.Fatal("unknown policy must error")
+	}
+}
+
+// TestCheckPolicyGuardsDedicatedSets: on an L1 with fewer sets than
+// core's 12 dedicated sets, exactly the adaptive policies fail
+// CheckPolicy, and running one is that error rather than a panic.
+func TestCheckPolicyGuardsDedicatedSets(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Cache.SizeBytes = 1024 // 2 sets
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	adaptive := map[Policy]bool{LatteCC: true, LatteBDIBPC: true, AdaptiveHits: true, AdaptiveCMP: true}
+	for _, p := range Policies() {
+		if err := CheckPolicy(cfg, p); (err != nil) != adaptive[p] {
+			t.Errorf("%s: CheckPolicy = %v", p, err)
+		}
+		if err := CheckPolicy(quickConfig(), p); err != nil {
+			t.Errorf("%s on the default L1: %v", p, err)
+		}
+	}
+	_, err := NewSuite(cfg).Run("BO", LatteCC, Variant{})
+	var pe *PanicError
+	if err == nil || errors.As(err, &pe) {
+		t.Errorf("LATTE-CC on 2 sets: err %v, want CheckPolicy's error", err)
 	}
 }
 

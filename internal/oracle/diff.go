@@ -385,7 +385,7 @@ func DiffSchedulers(seed int64, steps int) *Divergence {
 			} else if ook {
 				park(pos, r == 9)
 			}
-			// Commit: fills and barrier releases wake parked warps; a
+			// Between picks: fills and barrier releases wake parked warps; a
 			// forced finish retires a warp in any state.
 			for k := rng.Intn(3); k > 0; k-- {
 				if p := parked(); p >= 0 && rng.Intn(4) == 0 {

@@ -172,6 +172,22 @@ type SubmitRequest struct {
 	DeadlineMS int64            `json:"deadline_ms,omitempty"`
 }
 
+// Machine overlays the request's config overrides on base and checks
+// that each run's policy can run on the result (harness.CheckPolicy).
+// latteccd and latteroute both admit a submission's machine through it.
+func (req *SubmitRequest) Machine(base sim.Config) (sim.Config, error) {
+	cfg, err := req.Config.Apply(base)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	for _, r := range req.Runs {
+		if err := harness.CheckPolicy(cfg, harness.Policy(r.Policy)); err != nil {
+			return sim.Config{}, err
+		}
+	}
+	return cfg, nil
+}
+
 // SubmitResponse acknowledges an admitted job. Fingerprint is the
 // machine-config fingerprint the job's suite is keyed on — the same key
 // the cluster router consistent-hashes for fingerprint-affinity

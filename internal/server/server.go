@@ -310,7 +310,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	cfg, err := req.Config.Apply(s.cfg.BaseConfig)
+	cfg, err := req.Machine(s.cfg.BaseConfig)
 	if err != nil {
 		s.reject(w, err.Error())
 		return

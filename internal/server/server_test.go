@@ -865,6 +865,39 @@ func TestUnbuildableOverridesRejected(t *testing.T) {
 	}
 }
 
+// TestSmallL1AdmitsPoliciesThatFit: a 1 KiB L1 (2 sets) is a machine
+// sim.Config.Validate accepts, but it cannot host the 12 dedicated sets
+// of the adaptive policies. A job naming one answers 400 and counts as
+// invalid, even inside a batch; a static policy and Kernel-OPT on that
+// L1 are admitted and finish.
+func TestSmallL1AdmitsPoliciesThatFit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	l1 := 1024
+	small := &ConfigOverrides{L1SizeBytes: &l1}
+	bad := []SubmitRequest{
+		{Workload: "BO", Policy: "LATTE-CC", Config: small},
+		{Workload: "BO", Policy: "LATTE-CC-BDI-BPC", Config: small},
+		{Workload: "BO", Policy: "Adaptive-Hit-Count", Config: small},
+		{Workload: "BO", Policy: "Adaptive-CMP", Config: small},
+		{Runs: []RunSpec{{Workload: "BO", Policy: "Uncompressed"}, {Workload: "BO", Policy: "LATTE-CC"}}, Config: small},
+	}
+	for _, req := range bad {
+		resp, body := post(t, ts.URL, req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "dedicated sets") {
+			t.Errorf("%+v: status %d, body %s", req.Runs, resp.StatusCode, body)
+		}
+	}
+	if got := scrapeCounter(t, ts.URL, `latteccd_jobs_rejected_total{reason="invalid"}`); got != uint64(len(bad)) {
+		t.Errorf("rejected invalid = %d, want %d", got, len(bad))
+	}
+	for _, p := range []string{"Static-BDI", "Kernel-OPT"} {
+		sr := submit(t, ts.URL, SubmitRequest{Workload: "BO", Policy: p, Config: small})
+		if st := waitJob(t, ts.URL, sr.ID); st.Status != string(stateDone) {
+			t.Errorf("%s on a 1 KiB L1: status %s, error %q", p, st.Status, st.Error)
+		}
+	}
+}
+
 // TestServeWarmOverridesKeepFingerprints: the overrides the serve-warm
 // benchmark sends (L1 16/32 KiB, MSHRs 32/16, max_cycles 50M + salt) are
 // accepted on the tiny machine and key the fingerprints they always did.

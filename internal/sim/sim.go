@@ -159,7 +159,6 @@ func (r Result) StateHash() uint64 {
 type Sim struct {
 	cfg  Config
 	mem  *mem.System
-	arb  *mem.Arbiter
 	sms  []*sm
 	work trace.Workload
 }
@@ -173,30 +172,25 @@ func New(cfg Config, work trace.Workload, factory ControllerFactory) *Sim {
 	}
 	m := mem.New(cfg.Mem)
 	s := &Sim{cfg: cfg, mem: m, work: work}
-	numSets := cfg.Cache.SizeBytes / (cfg.Cache.LineSize * cfg.Cache.Ways)
+	numSets := cfg.Cache.NumSets()
 	data := work.Data()
 	// One size memo per run, shared by every SM's L1: the SMs tick
 	// serially, and the memo dies with the Sim.
 	memo := cache.NewSizeMemo()
-	ports := make([]*mem.Port, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
 		ctrl := factory(numSets)
-		ports[i] = mem.NewPort(cfg.L1Ports)
 		l1 := cache.NewL1(cfg.Cache, ctrl, memo)
-		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, l1, ports[i], data))
+		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, l1, m, data))
 	}
-	s.arb = mem.NewArbiter(m, ports)
 	return s
 }
 
 // Run executes every kernel of the workload and returns the result.
 //
-// Each cycle has two phases (DESIGN.md §12). Phase A ticks every SM in
-// id order against only its own state, with memory traffic queued on
-// per-SM ports. Phase B drains the ports through the arbiter in (SM id,
-// issue order) and commits each SM in id order; the budget, sampling,
-// dispatch, and liveness checks all run here, where every SM's state is
-// settled.
+// Each cycle ticks every SM once, in id order, so the shared memory
+// system sees transactions in (SM id, issue order) (DESIGN.md §12); the
+// budget, sampling, dispatch, and liveness checks run after the last
+// SM's tick.
 func (s *Sim) Run() Result {
 	res := Result{
 		Workload: s.work.Name(),
@@ -245,22 +239,13 @@ func (s *Sim) Run() Result {
 		dispatch()
 
 		for {
-			// Phase A: compute against SM-private state.
-			for _, m := range s.sms {
-				m.tickCompute(now)
-			}
-			// Phase B: merge the ports and commit.
-			s.arb.Drain(now)
 			busy := false
-			var cycleInsts uint64
 			for _, m := range s.sms {
-				m.commit(now)
-				cycleInsts += m.cycleInsts
+				totalInsts += m.tick(now)
 				if m.busy() {
 					busy = true
 				}
 			}
-			totalInsts += cycleInsts
 			now++
 
 			if nextBlock < k.Blocks {
@@ -291,7 +276,7 @@ func (s *Sim) Run() Result {
 			// LSU is drained and nothing — fill arrival, warp wake-up,
 			// tolerance-window boundary, sample point, cycle guard — can
 			// happen before cycle `next`, the intervening cycles are
-			// no-ops in every SM, the arbiter (empty ports), and the
+			// no-ops in every SM, the memory system (no traffic), and the
 			// dispatcher (block slots only free on a retire, which needs
 			// a ready warp). Jumping `now` there is therefore invisible
 			// to every counter, the trace stream, and StateHash; it only

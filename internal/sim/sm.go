@@ -47,12 +47,8 @@ type memReq struct {
 	addrs    []uint64 // aliases buf except for >32-way requests
 	next     int
 	readyMax uint64
-	// pending counts port loads issued on behalf of this request whose
-	// fill time the arbiter has not resolved yet. A fully drained request
-	// with pending > 0 parks on the deferred list until commit.
-	pending int
-	isStore bool
-	buf     [memReqAddrCap]uint64
+	isStore  bool
+	buf      [memReqAddrCap]uint64
 }
 
 // noStall is sm.stallLine's "no stalled line"; no line address reaches
@@ -111,24 +107,10 @@ func (h *fillHeap) pop() fillEvent {
 	return top
 }
 
-// mshrEntry is one outstanding L1 miss. While the cycle's port is still
-// undrained the fill time is unknown and the entry is pending, pointing
-// at the pendingLoad that will resolve it at commit.
+// mshrEntry is one outstanding L1 miss and the cycle its data arrives.
 type mshrEntry struct {
 	lineAddr uint64
-	fillAt   uint64 // valid once pending is false
-	pending  bool
-	pendIdx  int32 // index into sm.pend while pending
-}
-
-// pendingLoad tracks one port load issued this cycle: which port slot
-// holds its arbiter-assigned fill time, which MSHR it fills, and the LSU
-// requests waiting on it.
-type pendingLoad struct {
-	portIdx  int
-	mshrIdx  int
-	lineAddr uint64
-	waiters  []*memReq
+	fillAt   uint64
 }
 
 // blockSlot tracks one resident thread block.
@@ -139,16 +121,15 @@ type blockSlot struct {
 	warps     []warp
 }
 
-// sm is one streaming multiprocessor. During the compute phase of a
-// cycle an sm touches only its own state (plus read-only config
-// and the read-only data source): memory traffic goes to the per-SM
-// port, never to the shared mem.System.
+// sm is one streaming multiprocessor. Its L1 misses and stores go
+// straight to the shared mem.System; Run ticks the SMs in id order, so
+// the System sees them in (SM id, issue order).
 type sm struct {
 	id    int
 	cfg   *Config
 	l1    *cache.Cache
 	ctrl  modes.Controller
-	port  *mem.Port
+	mem   *mem.System
 	lines *trace.LineBuffer // the workload's data, rendered on demand
 	slots []blockSlot       // resident blocks and their warps
 	// scheds holds each scheduler's ready state; schedWarps[si] maps its
@@ -171,8 +152,7 @@ type sm struct {
 	// mshr holds outstanding misses. A linear scan over at most
 	// Config.MSHRs (32) entries beats hashing at this size (a hashed
 	// index profiled slower on fig11-batch), and a slice has no
-	// iteration-order hazard. Entries are only removed in applyFills,
-	// when no pendingLoad holds an index into the slice.
+	// iteration-order hazard.
 	mshr  []mshrEntry
 	fills fillHeap
 	// stallLine is the line of an LSU head that found every MSHR busy
@@ -181,16 +161,9 @@ type sm struct {
 	// the head's per-cycle retries skip the lookup until it resets.
 	stallLine uint64
 
-	// pend / deferred are the compute-to-commit handoff: loads awaiting
-	// the arbiter's fill times and fully-drained requests whose warps
-	// unblock at commit. waiterPool recycles the waiter slices.
-	pend       []pendingLoad
-	deferred   []*memReq
-	waiterPool [][]*memReq
-
-	// cycleInsts is the instruction count of the last tickCompute,
-	// harvested by Run after commit.
-	cycleInsts uint64
+	// missLat buffers this tick's miss latencies until tick reports
+	// them, after every L1 access of the tick (DESIGN.md §12).
+	missLat []uint64
 
 	hitSample uint64 // hit counter for VFT sampling
 
@@ -205,12 +178,12 @@ type sm struct {
 	stallMSHR    uint64
 }
 
-func newSM(id int, cfg *Config, ctrl modes.Controller, l1 *cache.Cache, port *mem.Port, data trace.DataSource) *sm {
+func newSM(id int, cfg *Config, ctrl modes.Controller, l1 *cache.Cache, m *mem.System, data trace.DataSource) *sm {
 	s := &sm{
 		id:         id,
 		cfg:        cfg,
 		ctrl:       ctrl,
-		port:       port,
+		mem:        m,
 		lines:      trace.NewLineBuffer(data, cfg.Cache.LineSize),
 		l1:         l1,
 		slots:      make([]blockSlot, cfg.MaxBlocksPerSM),
@@ -241,7 +214,6 @@ func (s *sm) releaseReq(r *memReq) {
 	r.addrs = nil
 	r.next = 0
 	r.readyMax = 0
-	r.pending = 0
 	r.isStore = false
 	s.reqFree = append(s.reqFree, r)
 }
@@ -342,7 +314,7 @@ func (s *sm) checkOccupancy() {
 }
 
 // busy reports whether the SM still has work (live warps or in-flight
-// memory activity). Only valid after commit, like every cross-SM read.
+// memory activity).
 func (s *sm) busy() bool {
 	return s.liveWarps > 0 || len(s.lsu) > s.lsuHead || len(s.fills) > 0
 }
@@ -352,11 +324,10 @@ func (s *sm) busy() bool {
 // wake-up (WarpScheduler.NextWake), or the tolerance-window boundary
 // (probeTolerance fires there and must observe the same `now` as a
 // cycle-by-cycle run). A queued LSU request makes every cycle busy, so
-// the method returns 0 in that case. Only valid after commit, when
-// pend/deferred are empty and every blockedOnMem warp still has its
-// request in the LSU queue — which is what lets Sim.Run prove cycles up
-// to the returned value are no-ops and fast-forward across them without
-// changing a single counter.
+// the method returns 0 in that case. Between ticks every blockedOnMem
+// warp still has its request in the LSU queue — which is what lets
+// Sim.Run prove cycles up to the returned value are no-ops and
+// fast-forward across them without changing a single counter.
 func (s *sm) nextEvent(now uint64) uint64 {
 	if s.lsuHead < len(s.lsu) {
 		return 0
@@ -371,48 +342,21 @@ func (s *sm) nextEvent(now uint64) uint64 {
 	return next
 }
 
-// tickCompute is the first half of one cycle: fills, LSU drain into the
-// port, and scheduling, all against SM-private state. The issued
-// instruction count lands in cycleInsts for Run to harvest.
-func (s *sm) tickCompute(now uint64) {
+// tick runs one cycle of the SM and returns the instructions it issued:
+// fills, LSU drain, scheduling, then this tick's miss latencies and the
+// tolerance probe. Reporting the buffered latencies after the drain keeps
+// every RecordMissLatency of a cycle after all of its RecordAccess calls
+// (DESIGN.md §12).
+func (s *sm) tick(now uint64) uint64 {
 	s.applyFills(now)
 	s.drainLSU(now)
-	s.cycleInsts = s.schedule(now)
-}
-
-// commit is the second half of one cycle, run after the arbiter has
-// drained the ports: resolve this cycle's fill times, unblock drained
-// warps, and fold the tolerance probe. Commit runs in SM id order.
-func (s *sm) commit(now uint64) {
-	for i := range s.pend {
-		p := &s.pend[i]
-		fillAt := s.port.FillAt(p.portIdx)
-		e := &s.mshr[p.mshrIdx]
-		e.fillAt = fillAt
-		e.pending = false
-		s.fills.push(fillEvent{at: fillAt, lineAddr: p.lineAddr})
-		s.ctrl.RecordMissLatency(fillAt - now)
-		ready := fillAt + s.cfg.Cache.HitLatency
-		for _, req := range p.waiters {
-			if ready > req.readyMax {
-				req.readyMax = ready
-			}
-			req.pending--
-		}
-		s.waiterPool = append(s.waiterPool, p.waiters[:0])
-		p.waiters = nil
+	issued := s.schedule(now)
+	for _, lat := range s.missLat {
+		s.ctrl.RecordMissLatency(lat)
 	}
-	s.pend = s.pend[:0]
-	s.port.Reset()
-
-	for i, req := range s.deferred {
-		s.unblock(req.w, req.readyMax, now)
-		s.releaseReq(req)
-		s.deferred[i] = nil
-	}
-	s.deferred = s.deferred[:0]
-
+	s.missLat = s.missLat[:0]
 	s.probeTolerance(now)
+	return issued
 }
 
 // applyFills installs miss responses whose data has arrived.
@@ -437,8 +381,7 @@ func (s *sm) mshrLookup(lineAddr uint64) int {
 	return -1
 }
 
-// mshrRemove frees lineAddr's MSHR (swap-remove; only called from
-// applyFills, when no pendingLoad holds MSHR indices).
+// mshrRemove frees lineAddr's MSHR (swap-remove).
 func (s *sm) mshrRemove(lineAddr uint64) {
 	s.stallLine = noStall
 	if i := s.mshrLookup(lineAddr); i >= 0 {
@@ -465,7 +408,7 @@ func (s *sm) drainLSU(now uint64) {
 			}
 			// Stores always go to L2 (write-avoid bypasses L1 entirely,
 			// Section IV-C3).
-			s.port.PushStore(addr)
+			s.mem.Write(addr, now)
 			s.storeTxns++
 			req.next++
 		} else {
@@ -485,18 +428,11 @@ func (s *sm) drainLSU(now uint64) {
 				s.lsu = s.lsu[:0]
 				s.lsuHead = 0
 			}
-			switch {
-			case req.isStore:
-				s.releaseReq(req)
-			case req.pending == 0:
-				// Every transaction hit or merged into an already-resolved
-				// fill: the ready time is final. It is always > now, so
-				// unblocking here vs at commit cannot change scheduling.
+			if !req.isStore {
+				// The ready time is final and always > now.
 				s.unblock(req.w, req.readyMax, now)
-				s.releaseReq(req)
-			default:
-				s.deferred = append(s.deferred, req)
 			}
+			s.releaseReq(req)
 		}
 	}
 }
@@ -534,45 +470,23 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 		}
 		return false
 	}
-	// Merge into an in-flight fetch if one exists.
+	// Merge into an in-flight fetch if one exists, else fetch.
+	var fillAt uint64
 	if mi := s.mshrLookup(lineAddr); mi >= 0 {
-		e := &s.mshr[mi]
-		if e.pending {
-			// Fill time unknown until the arbiter drains the port: join
-			// the waiter list, resolved at commit.
-			p := &s.pend[e.pendIdx]
-			p.waiters = append(p.waiters, req)
-			req.pending++
-			return true
+		fillAt = s.mshr[mi].fillAt
+	} else {
+		if len(s.mshr) >= s.cfg.MSHRs {
+			s.stallLine = lineAddr
+			return false
 		}
-		ready := e.fillAt + s.cfg.Cache.HitLatency
-		if ready > req.readyMax {
-			req.readyMax = ready
-		}
-		return true
+		fillAt = s.mem.Read(addr, now)
+		s.mshr = append(s.mshr, mshrEntry{lineAddr: lineAddr, fillAt: fillAt})
+		s.fills.push(fillEvent{at: fillAt, lineAddr: lineAddr})
+		s.missLat = append(s.missLat, fillAt-now)
 	}
-	if len(s.mshr) >= s.cfg.MSHRs {
-		s.stallLine = lineAddr
-		return false
+	if ready := fillAt + s.cfg.Cache.HitLatency; ready > req.readyMax {
+		req.readyMax = ready
 	}
-	portIdx := s.port.PushLoad(addr)
-	var waiters []*memReq
-	if n := len(s.waiterPool); n > 0 {
-		waiters = s.waiterPool[n-1]
-		s.waiterPool = s.waiterPool[:n-1]
-	}
-	s.pend = append(s.pend, pendingLoad{
-		portIdx:  portIdx,
-		mshrIdx:  len(s.mshr),
-		lineAddr: lineAddr,
-		waiters:  append(waiters, req),
-	})
-	s.mshr = append(s.mshr, mshrEntry{
-		lineAddr: lineAddr,
-		pending:  true,
-		pendIdx:  int32(len(s.pend) - 1),
-	})
-	req.pending++
 	return true
 }
 
@@ -702,8 +616,7 @@ func (s *sm) retire(w *warp, now uint64) {
 	}
 }
 
-// forceFinish terminates all warps (instruction budget exhausted). Run
-// calls it after commit, so pend and deferred are empty.
+// forceFinish terminates all warps (instruction budget exhausted).
 func (s *sm) forceFinish(now uint64) {
 	for i := range s.slots {
 		for j := range s.slots[i].warps {
