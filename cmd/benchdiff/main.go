@@ -1,13 +1,11 @@
-// Command benchdiff turns `go test -bench` output into a committed JSON
-// baseline (benchmark name -> ns/op, B/op, allocs/op plus domain metrics)
-// and gates CI on performance regressions against the previous baseline.
+// Command benchdiff turns `go test -bench` output into a JSON baseline
+// (benchmark name -> ns/op, B/op, allocs/op plus domain metrics) and
+// gates CI on performance regressions against a committed baseline.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchtime 1x -count 3 -benchmem . | \
-//	    benchdiff -out BENCH_PR6.json -baseline-dir . -max-regress 1.20
-//
-//	benchdiff -in bench.out -baseline BENCH_PR3.json   # explicit baseline
+//	go test -run '^$' -bench . -benchtime 1x -count 3 -benchmem . > bench.out
+//	benchdiff -in bench.out -baseline BENCH_PR9.json -out bench-fresh.json -max-regress 1.20
 //
 // With -count > 1 the minimum-ns/op run per benchmark is kept (its B/op
 // and allocs/op ride along), which damps scheduler noise; domain metrics
@@ -16,8 +14,7 @@
 // them, its B/op or allocs/op — exceeds baseline * max-regress. Older
 // baselines written without -benchmem simply skip the allocation gates.
 // Benchmarks that appear or disappear are reported but never fail the
-// gate. With no baseline available (first run) the tool just writes
-// -out and succeeds.
+// gate. Without -baseline the tool just writes -out and succeeds.
 package main
 
 import (
@@ -27,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -56,19 +52,18 @@ func main() {
 		in         = flag.String("in", "-", "bench output to read ('-' = stdin)")
 		out        = flag.String("out", "", "write the parsed results to this JSON file")
 		baseline   = flag.String("baseline", "", "explicit baseline JSON to compare against")
-		blDir      = flag.String("baseline-dir", "", "auto-pick the newest BENCH_PR<n>.json in this directory (excluding -out)")
 		maxRegress = flag.Float64("max-regress", 1.20, "fail when ns/op exceeds baseline by this factor")
 		label      = flag.String("label", "", "label stored in the output JSON")
 	)
 	flag.Parse()
 
-	if err := run(*in, *out, *baseline, *blDir, *maxRegress, *label); err != nil {
+	if err := run(*in, *out, *baseline, *maxRegress, *label); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, out, baseline, blDir string, maxRegress float64, label string) error {
+func run(in, out, baseline string, maxRegress float64, label string) error {
 	var r io.Reader = os.Stdin
 	if in != "-" {
 		f, err := os.Open(in)
@@ -87,18 +82,11 @@ func run(in, out, baseline, blDir string, maxRegress float64, label string) erro
 	}
 	current.Label = label
 
-	// Resolve the baseline before writing -out, so a CI run that
-	// overwrites the committed file still compares against it.
+	// Read the baseline before writing -out, so a run that overwrites
+	// the baseline file still compares against its old contents.
 	var base *File
-	basePath := baseline
-	if basePath == "" && blDir != "" {
-		basePath, err = latestBaseline(blDir, out)
-		if err != nil {
-			return err
-		}
-	}
-	if basePath != "" {
-		base, err = readBaseline(basePath)
+	if baseline != "" {
+		base, err = readBaseline(baseline)
 		if err != nil {
 			return err
 		}
@@ -119,7 +107,7 @@ func run(in, out, baseline, blDir string, maxRegress float64, label string) erro
 		fmt.Println("no baseline to compare against; treating this run as the first baseline")
 		return nil
 	}
-	return compare(base, current, basePath, maxRegress)
+	return compare(base, current, baseline, maxRegress)
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
@@ -184,33 +172,6 @@ func parseBench(r io.Reader) (*File, error) {
 		}
 	}
 	return out, sc.Err()
-}
-
-// prNumber extracts <n> from BENCH_PR<n>.json names.
-var prNumber = regexp.MustCompile(`^BENCH_PR(\d+)\.json$`)
-
-// latestBaseline picks the highest-numbered BENCH_PR<n>.json in dir,
-// skipping the file this run writes. Empty string means no baseline.
-func latestBaseline(dir, exclude string) (string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	best, bestN := "", -1
-	for _, e := range entries {
-		if e.IsDir() || e.Name() == filepath.Base(exclude) {
-			continue
-		}
-		m := prNumber.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		n, _ := strconv.Atoi(m[1])
-		if n > bestN {
-			bestN, best = n, filepath.Join(dir, e.Name())
-		}
-	}
-	return best, nil
 }
 
 func readBaseline(path string) (*File, error) {

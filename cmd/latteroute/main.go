@@ -1,10 +1,11 @@
 // Command latteroute fronts a fleet of latteccd workers with a
-// stateless routing layer: jobs are placed by consistent-hashing the
-// machine-config fingerprint (so each worker's resident Suite cache
-// stays hot), workers register themselves and are health-checked out of
-// the ring when they die, and jobs lost to a worker death are retried
-// on another node — safe because every worker returns bit-identical
-// StateHashes for the same (workload, policy, variant, config).
+// stateless routing layer: jobs are placed by rendezvous-hashing the
+// machine-config fingerprint over the live workers (so each worker's
+// resident Suite cache stays hot), workers register themselves and are
+// evicted by health checks when they die, and jobs lost to a worker
+// death are retried on another node — safe because every worker returns
+// bit-identical StateHashes for the same (workload, policy, variant,
+// config).
 //
 // Usage:
 //

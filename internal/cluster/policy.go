@@ -36,11 +36,12 @@ func PolicyByName(name string) (Policy, error) {
 	return nil, fmt.Errorf("cluster: unknown routing policy %q (have %v)", name, Policies())
 }
 
-// affinityPolicy consistent-hashes the machine-config fingerprint onto
-// the worker ring: every job for the same machine config lands on the
-// same worker, so that worker's resident Suite (and its single-flight
-// result cache) stays hot. On owner death the key falls through to the
-// ring successor — and only keys the dead worker owned move.
+// affinityPolicy rendezvous-hashes the machine-config fingerprint over
+// the live workers (Registry.PickAffinity): every job for the same
+// machine config lands on the same worker, so that worker's resident
+// Suite (and its single-flight result cache) stays hot. On owner death
+// the key falls to its next-highest scorer — and only keys the dead
+// worker owned move.
 type affinityPolicy struct{}
 
 func (affinityPolicy) Name() string { return "fingerprint" }

@@ -1,3 +1,20 @@
+// Package cluster turns latteccd into a fleet: a stateless router
+// (cmd/latteroute) fronts N workers, placing jobs by rendezvous-hashing
+// the machine-config fingerprint so each worker's resident Suite cache
+// stays hot, with pluggable routing policies, health-checked worker
+// registration, and retry-on-another-node for jobs lost to a worker
+// death.
+//
+// The determinism contract is what makes the cluster trivially correct:
+// every worker returns the bit-identical StateHash for the same
+// (workload, policy, variant, config), so replicas are perfectly
+// substitutable — a retried job cannot change its answer, only its
+// latency. The router therefore never coordinates workers; it only
+// places, watches, and (on loss) replaces.
+//
+// The package sits strictly above the determinism boundary: it may read
+// clocks and speak HTTP, and lattelint bans any cycle-level package
+// from importing it.
 package cluster
 
 import (
@@ -36,6 +53,7 @@ func (w WorkerInfo) Load() int64 { return w.Queued + w.Running + w.Assigned }
 // workerEntry is the registry's mutable record for one live worker.
 type workerEntry struct {
 	url      string
+	urlHash  uint64 // fnv1a(url), the worker's half of its rendezvous score
 	queued   int64
 	running  int64
 	draining bool
@@ -47,19 +65,19 @@ type workerEntry struct {
 // worker heartbeats re-register), health probing against each worker's
 // /v1/load endpoint, load bookkeeping for the least-loaded policy, and
 // eviction of workers whose probes fail deadAfter times in a row.
-// Evicted workers leave the hash ring, so fingerprint-affinity keys
-// they owned fall through to their ring successors; if the process
-// comes back it simply re-registers.
+// Fingerprint-affinity placement is read from the worker map alone
+// (PickAffinity), so an evicted worker's keys fall to their next-highest
+// scorer and no other key moves; if the process comes back it simply
+// re-registers and gets its keys back.
 type Registry struct {
 	deadAfter int
 	client    *http.Client
 
-	// mu guards the ring and the worker map. Probes run outside the
-	// lock (an HTTP round-trip must never block routing) and re-acquire
-	// it to apply results.
+	// mu guards the worker map. Probes run outside the lock (an HTTP
+	// round-trip must never block routing) and re-acquire it to apply
+	// results.
 	mu      sync.Mutex
 	workers map[string]*workerEntry
-	ring    *Ring
 
 	evictions atomic.Uint64
 }
@@ -68,7 +86,7 @@ type Registry struct {
 // consecutive probe failures evict a worker (<= 0 selects 3); client is
 // used for health probes (nil selects a default with the caller's
 // responsibility to set timeouts).
-func NewRegistry(deadAfter int, replicas int, client *http.Client) *Registry {
+func NewRegistry(deadAfter int, client *http.Client) *Registry {
 	if deadAfter <= 0 {
 		deadAfter = 3
 	}
@@ -79,7 +97,6 @@ func NewRegistry(deadAfter int, replicas int, client *http.Client) *Registry {
 		deadAfter: deadAfter,
 		client:    client,
 		workers:   map[string]*workerEntry{},
-		ring:      NewRing(replicas),
 	}
 }
 
@@ -92,8 +109,7 @@ func (r *Registry) Register(url string) bool {
 	if _, ok := r.workers[url]; ok {
 		return false
 	}
-	r.workers[url] = &workerEntry{url: url}
-	r.ring.Add(url)
+	r.workers[url] = &workerEntry{url: url, urlHash: fnv1a(url)}
 	return true
 }
 
@@ -108,21 +124,6 @@ func (r *Registry) Deregister(url string) {
 		return
 	}
 	delete(r.workers, url)
-	r.ring.Remove(url)
-}
-
-// Evict force-removes a dead worker and counts the eviction.
-func (r *Registry) Evict(url string) {
-	r.mu.Lock()
-	_, ok := r.workers[url]
-	if ok {
-		delete(r.workers, url)
-		r.ring.Remove(url)
-	}
-	r.mu.Unlock()
-	if ok {
-		r.evictions.Add(1)
-	}
 }
 
 // Evictions reports how many workers have been force-removed.
@@ -134,21 +135,23 @@ func (r *Registry) Evictions() uint64 { return r.evictions.Load() }
 // data path is evicted without waiting for deadAfter probe ticks.
 // Reports whether the worker was evicted by this call.
 func (r *Registry) ReportFailure(url string) bool {
-	evict := false
 	r.mu.Lock()
-	if e, ok := r.workers[url]; ok {
-		e.failures++
-		evict = e.failures >= r.deadAfter
-		if evict {
-			delete(r.workers, url)
-			r.ring.Remove(url)
-		}
+	defer r.mu.Unlock()
+	e, ok := r.workers[url]
+	return ok && r.failLocked(e)
+}
+
+// failLocked counts one failed interaction with e and evicts it once
+// the failures reach deadAfter, reporting whether it did. r.mu must be
+// held.
+func (r *Registry) failLocked(e *workerEntry) bool {
+	e.failures++
+	if e.failures < r.deadAfter {
+		return false
 	}
-	r.mu.Unlock()
-	if evict {
-		r.evictions.Add(1)
-	}
-	return evict
+	delete(r.workers, e.url)
+	r.evictions.Add(1)
+	return true
 }
 
 // NoteAssigned adjusts the optimistic in-flight count for a worker:
@@ -185,30 +188,54 @@ func (r *Registry) Snapshot() []WorkerInfo {
 	return out
 }
 
-// Routable reports whether url is live and accepting work.
-func (r *Registry) Routable(url string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.workers[url]
-	return ok && !e.draining
-}
-
-// PickAffinity walks the ring from the fingerprint's position and
-// returns the first routable worker, skipping exclude (the worker a
-// retry is fleeing) and any worker that is draining. ok is false when
-// no worker qualifies.
+// PickAffinity places fingerprint fp by rendezvous (highest-random-
+// weight) hashing: of the routable workers — not draining, not exclude
+// (the worker a retry is fleeing) — it returns the one with the highest
+// score(fp, url), ties broken by the lower URL. Each worker's score for
+// a key is independent of every other worker, so a join takes only the
+// keys the newcomer now outscores, a leave moves only the leaver's keys
+// (each to its runner-up), and the same fleet maps the same key to the
+// same worker in any process. ok is false when no worker qualifies.
 func (r *Registry) PickAffinity(fp uint64, exclude string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, url := range r.ring.Successors(fp) {
-		if url == exclude {
+	var best *workerEntry
+	var bestScore uint64
+	for _, e := range r.workers {
+		if e.draining || e.url == exclude {
 			continue
 		}
-		if e, ok := r.workers[url]; ok && !e.draining {
-			return url, true
+		s := score(fp, e.urlHash)
+		if best == nil || s > bestScore || (s == bestScore && e.url < best.url) {
+			best, bestScore = e, s
 		}
 	}
-	return "", false
+	if best == nil {
+		return "", false
+	}
+	return best.url, true
+}
+
+// score is worker urlHash's rendezvous weight for fingerprint fp: the
+// two folded together through the splitmix64 finalizer, so one bit of
+// either input flips about half the output bits.
+func score(fp, urlHash uint64) uint64 {
+	z := fp ^ urlHash
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// fnv1a hashes a worker URL with 64-bit FNV-1a: stable across processes
+// and Go versions, which makes placement reproducible in tests and
+// across router restarts.
+func fnv1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // ProbeAll health-checks every worker once: GET {url}/v1/load with the
@@ -233,14 +260,8 @@ func (r *Registry) ProbeAll(ctx context.Context) {
 			r.mu.Unlock()
 			continue
 		}
-		evict := false
 		if err != nil {
-			e.failures++
-			evict = e.failures >= r.deadAfter
-			if evict {
-				delete(r.workers, url)
-				r.ring.Remove(url)
-			}
+			r.failLocked(e)
 		} else {
 			e.failures = 0
 			e.queued = st.Queued
@@ -249,9 +270,6 @@ func (r *Registry) ProbeAll(ctx context.Context) {
 			e.assigned = 0
 		}
 		r.mu.Unlock()
-		if evict {
-			r.evictions.Add(1)
-		}
 	}
 }
 

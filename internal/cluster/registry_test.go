@@ -55,7 +55,7 @@ func TestLeastLoadedNeverRoutesToDraining(t *testing.T) {
 	idle := newFakeWorker(t)
 	idle.setLoad(server.LoadStatus{Draining: true}) // idle but leaving
 
-	reg := NewRegistry(3, 0, busy.ts.Client())
+	reg := NewRegistry(3, busy.ts.Client())
 	reg.Register(busy.url())
 	reg.Register(idle.url())
 	reg.ProbeAll(context.Background())
@@ -93,7 +93,7 @@ func TestLeastLoadedPrefersIdleAndHonoursAssigned(t *testing.T) {
 	w2 := newFakeWorker(t)
 	w2.setLoad(server.LoadStatus{Queued: 0})
 
-	reg := NewRegistry(3, 0, w1.ts.Client())
+	reg := NewRegistry(3, w1.ts.Client())
 	reg.Register(w1.url())
 	reg.Register(w2.url())
 	reg.ProbeAll(context.Background())
@@ -134,7 +134,7 @@ func TestLeastLoadedPrefersIdleAndHonoursAssigned(t *testing.T) {
 // data-path) evict the worker and count it; a returning worker simply
 // re-registers.
 func TestRegistryEviction(t *testing.T) {
-	reg := NewRegistry(3, 0, http.DefaultClient)
+	reg := NewRegistry(3, http.DefaultClient)
 	reg.Register("http://w1")
 	reg.Register("http://w2")
 
@@ -147,11 +147,11 @@ func TestRegistryEviction(t *testing.T) {
 	if got := reg.Evictions(); got != 1 {
 		t.Fatalf("evictions=%d, want 1", got)
 	}
-	if reg.Routable("http://w1") {
+	if routable(reg, "http://w1") {
 		t.Fatal("evicted worker still routable")
 	}
 	if _, ok := reg.PickAffinity(7, ""); !ok {
-		t.Fatal("survivor not reachable through the ring after eviction")
+		t.Fatal("survivor not reachable by affinity after eviction")
 	}
 
 	// Graceful deregistration is not an eviction.
@@ -164,21 +164,32 @@ func TestRegistryEviction(t *testing.T) {
 	if !reg.Register("http://w1") {
 		t.Fatal("returning worker not accepted as new")
 	}
-	if !reg.Routable("http://w1") {
+	if !routable(reg, "http://w1") {
 		t.Fatal("re-registered worker not routable")
 	}
+}
+
+// routable reports whether url is live and accepting work, as the
+// registry's snapshot shows it.
+func routable(reg *Registry, url string) bool {
+	for _, w := range reg.Snapshot() {
+		if w.URL == url {
+			return !w.Draining
+		}
+	}
+	return false
 }
 
 // TestRegistryConcurrentRegisterRouteEvict is the satellite-5 -race
 // test: registration, routing picks through every policy, failure
 // reporting, probing, and snapshots all interleave freely without a
-// data race or a torn ring.
+// data race or a torn worker table.
 func TestRegistryConcurrentRegisterRouteEvict(t *testing.T) {
 	workers := make([]*fakeWorker, 4)
 	for i := range workers {
 		workers[i] = newFakeWorker(t)
 	}
-	reg := NewRegistry(2, 16, workers[0].ts.Client())
+	reg := NewRegistry(2, workers[0].ts.Client())
 	// One worker is always present so Pick has a live target throughout.
 	anchor := newFakeWorker(t)
 	reg.Register(anchor.url())
@@ -196,8 +207,9 @@ func TestRegistryConcurrentRegisterRouteEvict(t *testing.T) {
 			switch i % 3 {
 			case 0:
 				reg.Deregister(w.url())
-			case 1:
-				reg.Evict(w.url())
+			case 1: // deadAfter=2 failures in a row evict
+				reg.ReportFailure(w.url())
+				reg.ReportFailure(w.url())
 			case 2:
 				reg.ReportFailure(w.url())
 			}
@@ -242,10 +254,10 @@ func TestRegistryConcurrentRegisterRouteEvict(t *testing.T) {
 }
 
 // TestPolicyExclude: every policy honours the exclude argument — the
-// worker a retry is fleeing must not be picked even if it is the only
-// ring owner for the fingerprint.
+// worker a retry is fleeing must not be picked even if it is the
+// fingerprint's affinity owner.
 func TestPolicyExclude(t *testing.T) {
-	reg := NewRegistry(3, 0, http.DefaultClient)
+	reg := NewRegistry(3, http.DefaultClient)
 	reg.Register("http://a")
 	reg.Register("http://b")
 	for _, pol := range []Policy{affinityPolicy{}, leastLoadedPolicy{}} {

@@ -40,12 +40,10 @@ type Config struct {
 	HealthInterval time.Duration
 	ProbeTimeout   time.Duration
 	// DeadAfter is how many consecutive probe failures evict a worker
-	// from the ring (default 3).
+	// (default 3).
 	DeadAfter int
 	// PollInterval is the per-job status watch cadence (default 150ms).
 	PollInterval time.Duration
-	// RingReplicas is the virtual-node count per worker (<= 0 default).
-	RingReplicas int
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -210,7 +208,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		reg:     NewRegistry(cfg.DeadAfter, cfg.RingReplicas, &http.Client{Timeout: cfg.ProbeTimeout}),
+		reg:     NewRegistry(cfg.DeadAfter, &http.Client{Timeout: cfg.ProbeTimeout}),
 		policy:  pol,
 		client:  client,
 		stream:  &http.Client{},
@@ -628,11 +626,12 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	workerURL := u.Scheme + "://" + u.Host
-	if isNew := rt.reg.Register(workerURL); isNew {
+	isNew := rt.reg.Register(workerURL)
+	if isNew {
 		rt.metrics.workersRegistered.Add(1)
 		rt.cfg.Logf("cluster: worker %s joined (%d live)", workerURL, len(rt.reg.Snapshot()))
 	}
-	server.WriteJSON(w, RegisterResponse{Registered: true, Workers: len(rt.reg.Snapshot())})
+	server.WriteJSON(w, RegisterResponse{Registered: isNew, Workers: len(rt.reg.Snapshot())})
 }
 
 func (rt *Router) handleDeregister(w http.ResponseWriter, r *http.Request) {

@@ -257,7 +257,7 @@ func TestClusterRetryOnWorkerDeath(t *testing.T) {
 		t.Fatalf("post-death submission failed: %s", got.Error)
 	}
 
-	// The dead worker must have been evicted from the ring.
+	// The dead worker must have been evicted.
 	deadline := time.Now().Add(10 * time.Second)
 	for rt.Registry().Evictions() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -500,6 +500,38 @@ func TestRouterRejections(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("register %s: status %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestRouterRegisterReportsNewness: a worker's first registration reads
+// registered:true, its heartbeat re-registration registered:false, and
+// only the first counts as a registration.
+func TestRouterRegisterReportsNewness(t *testing.T) {
+	// No probe runs during the test, so the unreachable URL stays live.
+	_, rts := startRouter(t, Config{Policy: "fingerprint", HealthInterval: time.Hour})
+	for i, want := range []bool{true, false} {
+		resp, err := http.Post(rts.URL+"/v1/workers", "application/json", strings.NewReader(`{"url":"http://127.0.0.1:1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got RegisterResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Registered != want || got.Workers != 1 {
+			t.Fatalf("registration %d: %+v, want registered=%v workers=1", i+1, got, want)
+		}
+	}
+	resp, err := http.Get(rts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(page), "latteroute_workers_registered_total 1\n") {
+		t.Fatalf("heartbeat counted as a registration:\n%s", page)
 	}
 }
 

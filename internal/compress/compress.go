@@ -189,9 +189,6 @@ func badBitCount() {
 	panic("compress: WriteBits n > 64")
 }
 
-// Bits returns the number of bits written so far.
-func (w *bitWriter) Bits() int { return int(w.nbit) }
-
 // Bytes returns the packed stream (final partial byte zero-padded).
 func (w *bitWriter) Bytes() []byte { return w.buf }
 

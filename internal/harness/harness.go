@@ -386,10 +386,9 @@ func simulateOn(cfg sim.Config, w trace.Workload, p Policy, schedule []modes.Mod
 
 // kernelOpt runs w under Kernel-OPT on cfg, reading the three static
 // runs through run. When every kernel picks the same mode, Kernel-OPT
-// is that mode's static policy — policy.Scheduled then makes exactly
-// policy.Static's insert decisions and code-book directives — so the
-// static run, copied and relabelled, is the result and nothing is
-// simulated. A mixed schedule is simulated.
+// is that mode's static policy — policy.NewStatic is a one-mode
+// policy.Scheduled — so the static run, copied and relabelled, is the
+// result and nothing is simulated. A mixed schedule is simulated.
 func kernelOpt(cfg sim.Config, w trace.Workload, run func(Policy) (sim.Result, error)) (sim.Result, error) {
 	schedule, same, err := oracleSchedule(run)
 	if err != nil {

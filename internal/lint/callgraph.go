@@ -98,9 +98,6 @@ func calleeName(p *Package, call *ast.CallExpr) string {
 func summarizeLocks(pkgs []*Package) map[string]*fnLockSummary {
 	sums := map[string]*fnLockSummary{}
 	for _, p := range pkgs {
-		if len(p.Info.Defs) == 0 {
-			continue // parse-only package: no resolvable call graph
-		}
 		c := collectLockContracts(p)
 		for _, file := range p.Files {
 			if p.isTestFile(file.Pos()) {
@@ -115,8 +112,7 @@ func summarizeLocks(pkgs []*Package) map[string]*fnLockSummary {
 					continue
 				}
 				sum := &fnLockSummary{pkg: p}
-				recvType, recvName := receiverInfo(fd)
-				sc := &lockScanner{p: p, c: c, recvType: recvType, recvName: recvName}
+				sc := &lockScanner{p: p, c: c}
 				sc.onAcquire = func(id string, pos token.Pos, held lockState) {
 					if id == "" {
 						return

@@ -89,26 +89,6 @@ func TestLockContractAllowSuppression(t *testing.T) {
 	}
 }
 
-// TestLockContractParseOnly: receiver-based resolution with no type
-// information still catches the lock-free read and the call under a
-// nocalls mutex.
-func TestLockContractParseOnly(t *testing.T) {
-	p := loadFixtureParseOnly(t, "lockcontract_parseonly_fix.go", "lattecc/internal/sim")
-	got := checkLockContract(p)
-	want := []string{
-		"b.val is guarded by mu",
-		"call to b.frob while holding b.mu",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("want %d findings, got %d:\n%s", len(want), len(got), renderAll(got))
-	}
-	for i, frag := range want {
-		if !strings.Contains(got[i].Message, frag) {
-			t.Errorf("finding %d: want message containing %q, got %q", i, frag, got[i].Message)
-		}
-	}
-}
-
 // TestLockOrderFixture: the opposite-order pair (one side through a
 // callee's acquire-set) yields a cycle, and re-acquiring a held lock
 // through a call yields a self-deadlock.
@@ -128,13 +108,15 @@ func TestLockOrderFixture(t *testing.T) {
 }
 
 // TestGoroutineHygieneFixture: two bounded spawns pass; the unbounded
-// literal, the unresolvable target, and the dropped CancelFunc are
-// reported; the //lint:allow'd fire-and-forget stays quiet.
+// literal, the unbounded method that shares the drainer's name, the
+// unresolvable target, and the dropped CancelFunc are reported; the
+// //lint:allow'd fire-and-forget stays quiet.
 func TestGoroutineHygieneFixture(t *testing.T) {
 	p := loadFixture(t, "goroutine_fix.go", "lattecc/internal/server", "")
 	got := ruleFindings(p, "goroutine-hygiene")
 	want := []string{
-		"no bounded lifecycle",
+		"goroutine … has no bounded lifecycle",
+		"goroutine s.drain has no bounded lifecycle",
 		"not resolvable",
 		"CancelFunc from WithCancel is discarded",
 	}
@@ -161,25 +143,6 @@ func TestGoroutineHygieneScope(t *testing.T) {
 	}
 }
 
-// TestGoroutineHygieneParseOnly: name-based evidence and the
-// declaration index work without type information.
-func TestGoroutineHygieneParseOnly(t *testing.T) {
-	p := loadFixtureParseOnly(t, "goroutine_parseonly_fix.go", "lattecc/internal/harness")
-	got := checkGoroutineHygiene(p)
-	want := []string{
-		"no bounded lifecycle",
-		"cancel is never called",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("want %d findings, got %d:\n%s", len(want), len(got), renderAll(got))
-	}
-	for i, frag := range want {
-		if !strings.Contains(got[i].Message, frag) {
-			t.Errorf("finding %d: want message containing %q, got %q", i, frag, got[i].Message)
-		}
-	}
-}
-
 // TestHotpathAllocFixture: every allocating construct in the annotated
 // function is reported; the append-into-scratch idiom and unannotated
 // functions pass; the justified make() is suppressed.
@@ -193,22 +156,6 @@ func TestHotpathAllocFixture(t *testing.T) {
 		"map literal",
 		"&entry{...}",
 	}
-	if len(got) != len(want) {
-		t.Fatalf("want %d findings, got %d:\n%s", len(want), len(got), renderAll(got))
-	}
-	for i, frag := range want {
-		if !strings.Contains(got[i].Message, frag) {
-			t.Errorf("finding %d: want message containing %q, got %q", i, frag, got[i].Message)
-		}
-	}
-}
-
-// TestHotpathAllocParseOnly: make and the fmt family match by name
-// without type information.
-func TestHotpathAllocParseOnly(t *testing.T) {
-	p := loadFixtureParseOnly(t, "hotpath_parseonly_fix.go", "lattecc/internal/compress")
-	got := checkHotpathAlloc(p)
-	want := []string{"make()", "fmt.Sprintf()"}
 	if len(got) != len(want) {
 		t.Fatalf("want %d findings, got %d:\n%s", len(want), len(got), renderAll(got))
 	}

@@ -13,9 +13,10 @@ import (
 // enforces two properties in the packages of goroutinePackages:
 //
 //  1. Every `go` statement's target must be resolvable in-package (a
-//     function literal or a same-package function/method) and its body
-//     must contain at least one lifecycle signal: a ctx.Done()/ctx.Err()
-//     check, a WaitGroup Done/Wait, a close(), or a channel operation.
+//     function literal, or a same-package function or method found
+//     through its types.Func) and its body must contain at least one
+//     lifecycle signal: a ctx.Done()/ctx.Err() check, a WaitGroup
+//     Done/Wait, a close(), or a channel operation.
 //     A goroutine with none of those can neither be told to stop nor
 //     observed to finish — exactly the leak -race cannot see.
 //
@@ -23,9 +24,9 @@ import (
 //     WithTimeout / WithDeadline must not be dropped (assigned to _) and
 //     must be referenced somewhere in the enclosing function.
 //
-// The evidence is name-based (method names Done/Wait/Err, channel
-// sends/receives) so the rule also works on parse-only fixtures; with
-// type info the context package is verified for lostcancel.
+// The lifecycle evidence is syntactic (method names Done/Wait/Err,
+// channel sends/receives); lostcancel resolves the constructor to the
+// context package.
 
 // goroutinePackages are the packages whose goroutines must be bounded.
 var goroutinePackages = map[string]bool{
@@ -46,7 +47,7 @@ func checkGoroutineHygiene(p *Package) []Finding {
 		return nil
 	}
 	var out []Finding
-	decls := packageFuncBodies(p)
+	bodies := funcBodies(p)
 	for _, file := range p.Files {
 		if p.isTestFile(file.Pos()) {
 			continue
@@ -55,35 +56,35 @@ func checkGoroutineHygiene(p *Package) []Finding {
 			if fd.Body == nil {
 				continue
 			}
-			out = append(out, checkGoStmts(p, decls, fd)...)
+			out = append(out, checkGoStmts(p, bodies, fd)...)
 			out = append(out, checkLostCancel(p, fd)...)
 		}
 	}
 	return out
 }
 
-// packageFuncBodies indexes every function/method body by name so `go
-// s.worker()` can be resolved without type information.
-func packageFuncBodies(p *Package) map[string]*ast.BlockStmt {
-	bodies := map[string]*ast.BlockStmt{}
+// funcBodies indexes the package's function and method bodies by their
+// types.Func, so two types' same-named methods stay distinct.
+func funcBodies(p *Package) map[*types.Func]*ast.BlockStmt {
+	bodies := map[*types.Func]*ast.BlockStmt{}
 	for _, file := range p.Files {
 		for _, fd := range enclosingFuncs(file) {
-			if fd.Body != nil {
-				bodies[fd.Name.Name] = fd.Body
+			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok && fd.Body != nil {
+				bodies[fn] = fd.Body
 			}
 		}
 	}
 	return bodies
 }
 
-func checkGoStmts(p *Package, decls map[string]*ast.BlockStmt, fd *ast.FuncDecl) []Finding {
+func checkGoStmts(p *Package, bodies map[*types.Func]*ast.BlockStmt, fd *ast.FuncDecl) []Finding {
 	var out []Finding
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)
 		if !ok {
 			return true
 		}
-		body := goTargetBody(p, decls, gs.Call)
+		body := goTargetBody(p, bodies, gs.Call)
 		switch {
 		case body == nil:
 			out = append(out, Finding{
@@ -107,22 +108,22 @@ func checkGoStmts(p *Package, decls map[string]*ast.BlockStmt, fd *ast.FuncDecl)
 
 // goTargetBody resolves the spawned callable to a body we can inspect:
 // a function literal, or a same-package function or method.
-func goTargetBody(p *Package, decls map[string]*ast.BlockStmt, call *ast.CallExpr) *ast.BlockStmt {
+func goTargetBody(p *Package, bodies map[*types.Func]*ast.BlockStmt, call *ast.CallExpr) *ast.BlockStmt {
+	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.FuncLit:
 		return fun.Body
 	case *ast.Ident:
-		return decls[fun.Name]
+		id = fun
 	case *ast.SelectorExpr:
-		// s.worker(): with type info, require the method to live in this
-		// package; parse-only falls back to the name index.
-		if obj, ok := p.Info.Uses[fun.Sel]; ok {
-			fn, isFn := obj.(*types.Func)
-			if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != p.PkgPath {
-				return nil
-			}
-		}
-		return decls[fun.Sel.Name]
+		id = fun.Sel
+	default:
+		return nil
+	}
+	// Origin maps a method of an instantiated generic type back to its
+	// declaration; functions of other packages are not in bodies.
+	if fn, ok := p.Info.Uses[id].(*types.Func); ok {
+		return bodies[fn.Origin()]
 	}
 	return nil
 }
@@ -194,12 +195,7 @@ func checkLostCancel(p *Package, fd *ast.FuncDecl) []Finding {
 		if !ok || !cancelFactoryNames[sel.Sel.Name] {
 			return true
 		}
-		if obj, ok := p.Info.Uses[sel.Sel]; ok {
-			fn, isFn := obj.(*types.Func)
-			if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-				return true
-			}
-		} else if base, ok := sel.X.(*ast.Ident); !ok || base.Name != "context" {
+		if fn, isFn := p.Info.Uses[sel.Sel].(*types.Func); !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 			return true
 		}
 		cancel, ok := as.Lhs[1].(*ast.Ident)
@@ -228,8 +224,7 @@ func checkLostCancel(p *Package, fd *ast.FuncDecl) []Finding {
 
 // cancelUsed reports whether the cancel variable is referenced anywhere
 // else in the enclosing function (a defer cancel() or an error-path
-// call both count). With type info the check is object-identity-exact;
-// parse-only falls back to name matching.
+// call both count), by object identity.
 func cancelUsed(p *Package, fd *ast.FuncDecl, def *ast.Ident) bool {
 	obj := types.Object(p.Info.Defs[def])
 	if obj == nil {
@@ -244,13 +239,7 @@ func cancelUsed(p *Package, fd *ast.FuncDecl, def *ast.Ident) bool {
 		if !ok || id == def {
 			return true
 		}
-		if obj != nil {
-			if p.Info.Uses[id] == obj {
-				used = true
-			}
-		} else if id.Name == def.Name {
-			used = true
-		}
+		used = p.Info.Uses[id] == obj
 		return !used
 	})
 	return used

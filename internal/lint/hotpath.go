@@ -100,10 +100,8 @@ func allocCall(p *Package, call *ast.CallExpr) string {
 		if fun.Name != "make" && fun.Name != "new" {
 			return ""
 		}
-		if obj, ok := p.Info.Uses[fun]; ok {
-			if _, isBuiltin := obj.(*types.Builtin); !isBuiltin {
-				return ""
-			}
+		if _, isBuiltin := p.Info.Uses[fun].(*types.Builtin); !isBuiltin {
+			return ""
 		}
 		return fun.Name + "()"
 	case *ast.SelectorExpr:
@@ -111,12 +109,7 @@ func allocCall(p *Package, call *ast.CallExpr) string {
 		if !ok {
 			return ""
 		}
-		if obj, ok := p.Info.Uses[base]; ok {
-			pn, isPkg := obj.(*types.PkgName)
-			if !isPkg || !allocPackageNames[pn.Imported().Path()] {
-				return ""
-			}
-		} else if !allocPackageNames[base.Name] {
+		if pn, isPkg := p.Info.Uses[base].(*types.PkgName); !isPkg || !allocPackageNames[pn.Imported().Path()] {
 			return ""
 		}
 		return base.Name + "." + fun.Sel.Name + "()"
@@ -127,22 +120,10 @@ func allocCall(p *Package, call *ast.CallExpr) string {
 // allocComposite flags slice and map literals; struct and array values
 // live on the stack and pass.
 func allocComposite(p *Package, cl *ast.CompositeLit) string {
-	if tv, ok := p.Info.Types[cl]; ok && tv.Type != nil {
-		switch tv.Type.Underlying().(type) {
-		case *types.Slice:
-			return "slice literal"
-		case *types.Map:
-			return "map literal"
-		}
-		return ""
-	}
-	// Parse-only fallback on the literal's syntactic type.
-	switch t := cl.Type.(type) {
-	case *ast.ArrayType:
-		if t.Len == nil {
-			return "slice literal"
-		}
-	case *ast.MapType:
+	switch p.Info.Types[cl].Type.Underlying().(type) {
+	case *types.Slice:
+		return "slice literal"
+	case *types.Map:
 		return "map literal"
 	}
 	return ""

@@ -24,7 +24,8 @@ func loadFixture(t *testing.T, file, pkgPath, asName string) *Package {
 	if asName != "" {
 		name = filepath.Join("testdata", asName)
 	}
-	im := newModuleImporter("lattecc", "testdata-has-no-module-files")
+	// Rooted at the module, so a fixture may import its packages.
+	im := newModuleImporter("lattecc", filepath.Join("..", ".."))
 	f, err := parser.ParseFile(im.fset, name, src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +246,7 @@ func TestOracleDeterminismOnlyExemption(t *testing.T) {
 		"lattecc/internal/server",
 	}
 
-	oracle := loadFixtureParseOnly(t, "oracle_exempt_fix.go", "lattecc/internal/oracle")
+	oracle := loadFixture(t, "oracle_exempt_fix.go", "lattecc/internal/oracle", "")
 	got := checkDeterminism(oracle)
 	if len(got) != len(wantBoundary) {
 		t.Fatalf("oracle: want %d boundary findings, got %d:\n%s", len(wantBoundary), len(got), renderAll(got))
@@ -264,7 +265,7 @@ func TestOracleDeterminismOnlyExemption(t *testing.T) {
 
 	// The identical file inside the simulator core is held to both rule
 	// families: same three boundary findings plus the hot-path panic.
-	sim := loadFixtureParseOnly(t, "oracle_exempt_fix.go", "lattecc/internal/sim")
+	sim := loadFixture(t, "oracle_exempt_fix.go", "lattecc/internal/sim", "")
 	if got := checkDeterminism(sim); len(got) != len(wantBoundary) {
 		t.Errorf("sim: want %d boundary findings, got %d:\n%s", len(wantBoundary), len(got), renderAll(got))
 	}

@@ -36,28 +36,16 @@ import (
 // checker; the repo's style (lock through the receiver) keeps this
 // sound in practice.
 
-// nameKey identifies a struct field by (type name, field name) for
-// parse-only fixtures where go/types objects are unavailable.
-type nameKey struct {
-	recv  string
-	field string
-}
-
 // lockContracts holds one package's collected annotations.
 type lockContracts struct {
 	fieldGuard map[types.Object]string // guarded field -> mutex field name
-	nameGuard  map[nameKey]string      // parse-only fallback
 	varGuard   map[types.Object]string // guarded package var -> mutex var name
 	nocallsObj map[types.Object]bool   // mutex fields/vars declared nocalls
-	nocallsKey map[nameKey]bool        // parse-only fallback (struct fields)
-	nocallsVar map[string]bool         // parse-only fallback (package vars)
 	errs       []Finding               // malformed/unsatisfiable annotations
 }
 
 func (c *lockContracts) empty() bool {
-	return len(c.fieldGuard) == 0 && len(c.nameGuard) == 0 &&
-		len(c.varGuard) == 0 && len(c.nocallsObj) == 0 &&
-		len(c.nocallsKey) == 0 && len(c.nocallsVar) == 0
+	return len(c.fieldGuard) == 0 && len(c.varGuard) == 0 && len(c.nocallsObj) == 0
 }
 
 // directiveArgs extracts the arguments of a "//lint:<name> ..." comment
@@ -95,11 +83,8 @@ func fieldDirective(doc, comment *ast.CommentGroup, name string) (string, bool) 
 func collectLockContracts(p *Package) *lockContracts {
 	c := &lockContracts{
 		fieldGuard: map[types.Object]string{},
-		nameGuard:  map[nameKey]string{},
 		varGuard:   map[types.Object]string{},
 		nocallsObj: map[types.Object]bool{},
-		nocallsKey: map[nameKey]bool{},
-		nocallsVar: map[string]bool{},
 	}
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
@@ -145,7 +130,6 @@ func (c *lockContracts) collectStruct(p *Package, typeName string, st *ast.Struc
 				})
 			} else {
 				for _, n := range f.Names {
-					c.nameGuard[nameKey{typeName, n.Name}] = mux
 					if obj := p.Info.Defs[n]; obj != nil {
 						c.fieldGuard[obj] = mux
 					}
@@ -162,7 +146,6 @@ func (c *lockContracts) collectStruct(p *Package, typeName string, st *ast.Struc
 				continue
 			}
 			for _, n := range f.Names {
-				c.nocallsKey[nameKey{typeName, n.Name}] = true
 				if obj := p.Info.Defs[n]; obj != nil {
 					c.nocallsObj[obj] = true
 				}
@@ -210,7 +193,6 @@ func (c *lockContracts) collectVars(p *Package, gd *ast.GenDecl) {
 				continue
 			}
 			for _, n := range vs.Names {
-				c.nocallsVar[n.Name] = true
 				if obj := p.Info.Defs[n]; obj != nil {
 					c.nocallsObj[obj] = true
 				}
@@ -285,27 +267,6 @@ func checkLockContract(p *Package) []Finding {
 	return out
 }
 
-// receiverInfo extracts (type name, receiver name) from a method decl.
-func receiverInfo(fd *ast.FuncDecl) (string, string) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return "", ""
-	}
-	r := fd.Recv.List[0]
-	t := r.Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	typeName := ""
-	if id, ok := t.(*ast.Ident); ok {
-		typeName = id.Name
-	}
-	recvName := ""
-	if len(r.Names) > 0 {
-		recvName = r.Names[0].Name
-	}
-	return typeName, recvName
-}
-
 func scanFuncLockContract(p *Package, c *lockContracts, fd *ast.FuncDecl) []Finding {
 	var out []Finding
 	seen := map[string]bool{} // "line:message" — dedups x = append(x, ...) double hits
@@ -316,8 +277,7 @@ func scanFuncLockContract(p *Package, c *lockContracts, fd *ast.FuncDecl) []Find
 			out = append(out, f)
 		}
 	}
-	recvType, recvName := receiverInfo(fd)
-	sc := &lockScanner{p: p, c: c, recvType: recvType, recvName: recvName}
+	sc := &lockScanner{p: p, c: c}
 	sc.visit = func(n ast.Node, held lockState) {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -377,39 +337,17 @@ func scanFuncLockContract(p *Package, c *lockContracts, fd *ast.FuncDecl) []Find
 // guardOf resolves a selector expression to a guarded field, returning
 // the mutex name and a description of the owning type.
 func (sc *lockScanner) guardOf(n *ast.SelectorExpr) (mux, owner string, ok bool) {
-	if sel := sc.p.Info.Selections[n]; sel != nil {
-		if sel.Kind() != types.FieldVal {
-			return "", "", false
-		}
-		// Origin maps a field of an instantiated generic type (Table[int].m)
-		// back to the declared field the annotation was recorded on.
-		mux, ok := sc.c.fieldGuard[sel.Obj().(*types.Var).Origin()]
-		if !ok {
-			return "", "", false
-		}
-		return mux, exprString(n.X), true
+	sel := sc.p.Info.Selections[n]
+	if sel == nil || sel.Kind() != types.FieldVal {
+		return "", "", false
 	}
-	// Parse-only fallback: receiver-based resolution inside methods.
-	if id, isIdent := n.X.(*ast.Ident); isIdent && id.Name == sc.recvName && sc.recvName != "" {
-		if mux, ok := sc.c.nameGuard[nameKey{sc.recvType, n.Sel.Name}]; ok {
-			return mux, sc.recvName, true
-		}
+	// Origin maps a field of an instantiated generic type (Table[int].m)
+	// back to the declared field the annotation was recorded on.
+	mux, ok = sc.c.fieldGuard[sel.Obj().(*types.Var).Origin()]
+	if !ok {
+		return "", "", false
 	}
-	return "", "", false
-}
-
-// builtinNames covers the parse-only fallback for exemptCall.
-var builtinNames = map[string]bool{
-	"append": true, "cap": true, "clear": true, "close": true,
-	"copy": true, "delete": true, "len": true, "make": true,
-	"max": true, "min": true, "new": true, "panic": true,
-	"print": true, "println": true, "recover": true,
-}
-
-// atomicMethodNames covers sync/atomic's method set for parse-only mode.
-var atomicMethodNames = map[string]bool{
-	"Load": true, "Store": true, "Add": true, "Swap": true,
-	"CompareAndSwap": true, "Or": true, "And": true,
+	return mux, exprString(n.X), true
 }
 
 // exemptCall reports whether a call is allowed while a nocalls mutex is
@@ -418,22 +356,16 @@ var atomicMethodNames = map[string]bool{
 func (sc *lockScanner) exemptCall(call *ast.CallExpr) bool {
 	p := sc.p
 	// Type conversion, e.g. time.Duration(x).
-	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
+	if p.Info.Types[call.Fun].IsType() {
 		return true
 	}
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		if obj, ok := p.Info.Uses[fun]; ok {
-			_, isBuiltin := obj.(*types.Builtin)
-			return isBuiltin
-		}
-		return builtinNames[fun.Name] // parse-only fallback
+		_, isBuiltin := p.Info.Uses[fun].(*types.Builtin)
+		return isBuiltin
 	case *ast.SelectorExpr:
-		if obj, ok := p.Info.Uses[fun.Sel]; ok {
-			fn, isFn := obj.(*types.Func)
-			return isFn && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-		}
-		return atomicMethodNames[fun.Sel.Name] // parse-only fallback
+		fn, isFn := p.Info.Uses[fun.Sel].(*types.Func)
+		return isFn && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 	}
 	return false
 }
@@ -449,9 +381,8 @@ const (
 
 // lockScanner walks a function body tracking the held-mutex set.
 type lockScanner struct {
-	p                  *Package
-	c                  *lockContracts
-	recvType, recvName string
+	p *Package
+	c *lockContracts
 
 	// visit is called on every expression node in evaluation order with
 	// the current held set (lock/unlock calls themselves excluded).
@@ -714,9 +645,8 @@ func (sc *lockScanner) expr(e ast.Expr, held lockState) {
 	})
 }
 
-// lockMethod recognizes mu.Lock/RLock/Unlock/RUnlock calls. With type
-// info the method must come from package sync; parse-only mode matches
-// by name.
+// lockMethod recognizes mu.Lock/RLock/Unlock/RUnlock calls: the method
+// must come from package sync.
 func (sc *lockScanner) lockMethod(call *ast.CallExpr) (ast.Expr, lockKind) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -731,11 +661,8 @@ func (sc *lockScanner) lockMethod(call *ast.CallExpr) (ast.Expr, lockKind) {
 	default:
 		return nil, lockNone
 	}
-	if obj, ok := sc.p.Info.Uses[sel.Sel]; ok {
-		fn, isFn := obj.(*types.Func)
-		if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return nil, lockNone
-		}
+	if fn, isFn := sc.p.Info.Uses[sel.Sel].(*types.Func); !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return nil, lockNone
 	}
 	return sel.X, kind
 }
@@ -754,18 +681,12 @@ func (sc *lockScanner) resolveMutex(base ast.Expr) heldLock {
 			}
 			return heldLock{nocalls: sc.c.nocallsObj[obj], id: id}
 		}
-		// Parse-only: s.mu inside a method of recvType.
-		if id, ok := b.X.(*ast.Ident); ok && id.Name == sc.recvName && sc.recvName != "" {
-			return heldLock{nocalls: sc.c.nocallsKey[nameKey{sc.recvType, b.Sel.Name}]}
-		}
 	case *ast.Ident:
-		if obj, ok := p.Info.Uses[b]; ok {
-			if v, isVar := obj.(*types.Var); isVar && p.Types != nil && v.Parent() == p.Types.Scope() {
-				return heldLock{nocalls: sc.c.nocallsObj[obj], id: p.PkgPath + "." + v.Name()}
-			}
-			return heldLock{nocalls: sc.c.nocallsObj[obj]}
+		obj := p.Info.Uses[b]
+		if v, isVar := obj.(*types.Var); isVar && v.Parent() == p.Types.Scope() {
+			return heldLock{nocalls: sc.c.nocallsObj[obj], id: p.PkgPath + "." + v.Name()}
 		}
-		return heldLock{nocalls: sc.c.nocallsVar[b.Name]}
+		return heldLock{nocalls: sc.c.nocallsObj[obj]}
 	}
 	return heldLock{}
 }
@@ -796,9 +717,6 @@ func (sc *lockScanner) isPanicCall(e ast.Expr) bool {
 	if !ok || id.Name != "panic" {
 		return false
 	}
-	if obj, ok := sc.p.Info.Uses[id]; ok {
-		_, isBuiltin := obj.(*types.Builtin)
-		return isBuiltin
-	}
-	return true
+	_, isBuiltin := sc.p.Info.Uses[id].(*types.Builtin)
+	return isBuiltin
 }

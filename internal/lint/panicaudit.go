@@ -52,11 +52,7 @@ func checkPanicAudit(p *Package) []Finding {
 // isBuiltinUse reports whether the identifier resolves to the builtin
 // of the same name (and not, say, a local function shadowing it).
 func isBuiltinUse(p *Package, id *ast.Ident) bool {
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		return true // no type info: assume builtin rather than miss findings
-	}
-	_, ok := obj.(*types.Builtin)
+	_, ok := p.Info.Uses[id].(*types.Builtin)
 	return ok
 }
 

@@ -1,7 +1,8 @@
 // Fixture for the goroutine-hygiene rule: bounded worker shapes that
 // must pass (WaitGroup + ctx.Done select, channel-range drainer), the
-// leaks that must not (an unbounded literal, an unresolvable target),
-// and a dropped context.CancelFunc.
+// leaks that must not (an unbounded literal, an unbounded method that
+// shares the drainer's name, an unresolvable target), and a dropped
+// context.CancelFunc.
 package fixture
 
 import (
@@ -43,6 +44,19 @@ func (p *pool) leak() {
 		for {
 		}
 	}()
+}
+
+// spinner shares pool's drain method name, but its drain has no stop
+// signal: the target resolves by method, not by name.
+type spinner struct{}
+
+func (spinner) drain() {
+	for {
+	}
+}
+
+func spin(s spinner) {
+	go s.drain() // want: no bounded lifecycle
 }
 
 // spawn launches an arbitrary callable the analysis cannot see into.

@@ -2,7 +2,7 @@
 // sits below the determinism boundary (serving-stack imports are
 // violations) but is exempt from the performance rules (its hot-path
 // panic is legal — reference models panic loudly on internal drift by
-// design). lint_test.go loads this file parse-only under both
+// design). lint_test.go type-checks this file under both
 // lattecc/internal/oracle and lattecc/internal/sim and compares the
 // finding sets.
 package fixture

@@ -89,9 +89,6 @@ func New(cfg Config) *System {
 // Stats returns a copy of the event counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Config returns the active configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Read services an L1 read miss for the line containing addr, issued at
 // cycle now, and returns the cycle at which the fill data arrives at the
 // L1. The line is installed in L2 on an L2 miss.

@@ -17,9 +17,9 @@ import (
 type Scheduled struct {
 	name     string
 	schedule []modes.Mode
-	kernel   int
+	cur      modes.Mode // the running kernel's mode
 	// Only a schedule that names HighCap keeps the high-capacity code
-	// book, so a schedule of one mode makes exactly Static's directives.
+	// book.
 	codeBook
 }
 
@@ -34,6 +34,7 @@ func NewScheduled(name string, schedule []modes.Mode, epLen, epsPerPeriod uint64
 	return &Scheduled{
 		name:     name,
 		schedule: schedule,
+		cur:      schedule[0],
 		codeBook: codeBook{epLen: epLen, epsPerPer: epsPerPeriod, needsHC: slices.Contains(schedule, modes.HighCap)},
 	}
 }
@@ -42,19 +43,15 @@ func NewScheduled(name string, schedule []modes.Mode, epLen, epsPerPeriod uint64
 func (s *Scheduled) Name() string { return s.name }
 
 // KernelStart is called by the simulator at each kernel boundary.
-func (s *Scheduled) KernelStart(idx int) { s.kernel = idx }
-
-// CurrentMode implements modes.Snapshotter.
-func (s *Scheduled) CurrentMode() modes.Mode {
-	i := s.kernel
-	if i >= len(s.schedule) {
-		i = len(s.schedule) - 1
-	}
-	return s.schedule[i]
+func (s *Scheduled) KernelStart(idx int) {
+	s.cur = s.schedule[min(idx, len(s.schedule)-1)]
 }
 
+// CurrentMode implements modes.Snapshotter.
+func (s *Scheduled) CurrentMode() modes.Mode { return s.cur }
+
 // InsertMode implements modes.Controller.
-func (s *Scheduled) InsertMode(int) modes.Mode { return s.CurrentMode() }
+func (s *Scheduled) InsertMode(int) modes.Mode { return s.cur }
 
 // NewAdaptiveHitCount returns the Figure 17 Adaptive-Hit-Count baseline:
 // LATTE-CC's sampling machinery with a decision that only maximizes hit

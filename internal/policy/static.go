@@ -13,43 +13,22 @@ package policy
 
 import "lattecc/internal/modes"
 
-// Static is a controller that applies one compression mode to every line,
-// unconditionally. Static(modes.None) is the baseline uncompressed cache;
-// Static(modes.LowLat) is Static-BDI; Static(modes.HighCap) is Static-SC
-// (or Static-BPC when the cache's high-capacity codec is BPC).
-type Static struct {
-	mode modes.Mode
-	name string
-	codeBook
+// NewStatic returns the controller that applies one compression mode to
+// every line, unconditionally: a one-mode Scheduled, so a uniform
+// Kernel-OPT schedule and its static policy are the same controller.
+// NewStatic(modes.None) is the baseline uncompressed cache;
+// NewStatic(modes.LowLat) is Static-BDI; NewStatic(modes.HighCap) is
+// Static-SC (or Static-BPC when the cache's high-capacity codec is BPC).
+// epLen and epsPerPeriod control the high-capacity code-book rebuild
+// cadence; they are ignored unless mode is HighCap.
+func NewStatic(mode modes.Mode, name string, epLen, epsPerPeriod uint64) *Scheduled {
+	return NewScheduled(name, []modes.Mode{mode}, epLen, epsPerPeriod)
 }
 
-var _ modes.Controller = (*Static)(nil)
-
-// NewStatic returns a static controller for the given mode. epLen and
-// epsPerPeriod control the high-capacity code-book rebuild cadence; they
-// are ignored unless mode is HighCap.
-func NewStatic(mode modes.Mode, name string, epLen, epsPerPeriod uint64) *Static {
-	return &Static{
-		mode:     mode,
-		name:     name,
-		codeBook: codeBook{epLen: epLen, epsPerPer: epsPerPeriod, needsHC: mode == modes.HighCap},
-	}
-}
-
-// Name implements modes.Controller.
-func (s *Static) Name() string { return s.name }
-
-// InsertMode implements modes.Controller.
-func (s *Static) InsertMode(int) modes.Mode { return s.mode }
-
-// CurrentMode implements modes.Snapshotter.
-func (s *Static) CurrentMode() modes.Mode { return s.mode }
-
-// codeBook is the period bookkeeping of the high-capacity codec, shared
-// by Static and Scheduled so that a one-mode schedule issues exactly its
-// static policy's directives. Even static SC needs its VFT rebuilt
-// periodically (Section IV-C2 applies the same period structure to SC
-// and LATTE-CC); a policy that never inserts HighCap lines keeps no book.
+// codeBook is the period bookkeeping of the high-capacity codec. Even
+// static SC needs its VFT rebuilt periodically (Section IV-C2 applies
+// the same period structure to SC and LATTE-CC); a policy that never
+// inserts HighCap lines keeps no book.
 type codeBook struct {
 	epLen     uint64 // accesses per experimental phase
 	epsPerPer uint64 // EPs per period

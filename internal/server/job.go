@@ -190,7 +190,7 @@ func (req *SubmitRequest) Machine(base sim.Config) (sim.Config, error) {
 
 // SubmitResponse acknowledges an admitted job. Fingerprint is the
 // machine-config fingerprint the job's suite is keyed on — the same key
-// the cluster router consistent-hashes for fingerprint-affinity
+// the cluster router rendezvous-hashes for fingerprint-affinity
 // placement, exposed so routing decisions are auditable end to end.
 type SubmitResponse struct {
 	ID          string `json:"id"`

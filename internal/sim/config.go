@@ -218,7 +218,7 @@ func (c Config) Fingerprint() uint64 {
 	h.Uint64(c.SampleEvery)
 	// Folded only when set, each under its own tag, so a machine with
 	// all three off keeps the fingerprint primed result stores and the
-	// cluster's ring placement already key it by.
+	// cluster's affinity placement already key it by.
 	for i, on := range []bool{c.Cache.UnboundedDecompressor, c.Cache.CapacityOnly, c.Cache.LatencyOnly} {
 		if on {
 			h.Byte(byte(1 + i))

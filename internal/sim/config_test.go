@@ -56,7 +56,7 @@ func TestFingerprintCoversEveryMachineField(t *testing.T) {
 }
 
 // TestFingerprintPinned pins the default and golden-gate machines'
-// fingerprints: primed result stores and the cluster's ring placement
+// fingerprints: primed result stores and the cluster's affinity placement
 // are keyed by them, so a change here orphans every stored result.
 func TestFingerprintPinned(t *testing.T) {
 	for _, tc := range []struct {

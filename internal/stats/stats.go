@@ -1,6 +1,6 @@
 // Package stats provides the measurement primitives shared across the
 // simulator: running averages, bounded time series for the paper's
-// over-time figures, histograms, and aggregate helpers (geometric mean is
+// over-time figures, and aggregate helpers (geometric mean is
 // the standard aggregation for speedups in architecture papers).
 package stats
 
@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -20,9 +19,6 @@ type Running struct {
 
 // Add records one sample.
 func (r *Running) Add(v float64) { r.n++; r.sum += v }
-
-// AddN records a pre-aggregated batch of n samples summing to sum.
-func (r *Running) AddN(sum float64, n uint64) { r.n += n; r.sum += sum }
 
 // Mean returns the running mean, or 0 with no samples.
 func (r *Running) Mean() float64 {
@@ -163,66 +159,6 @@ func (s *Series) MarshalJSON() ([]byte, error) {
 // Len returns the stored point count.
 func (s *Series) Len() int { return len(s.pts) }
 
-// Histogram is a fixed-bucket histogram over non-negative values.
-type Histogram struct {
-	bucketWidth float64
-	buckets     []uint64
-	overflow    uint64
-	n           uint64
-	sum         float64
-}
-
-// NewHistogram returns a histogram with nbuckets buckets of the given width.
-func NewHistogram(bucketWidth float64, nbuckets int) *Histogram {
-	return &Histogram{bucketWidth: bucketWidth, buckets: make([]uint64, nbuckets)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(v float64) {
-	h.n++
-	h.sum += v
-	idx := int(v / h.bucketWidth)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[idx]++
-}
-
-// Count returns the total number of samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Percentile returns an approximate percentile (p in [0,100]) using bucket
-// lower bounds. Overflowed samples count as the top bucket.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.n)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return float64(i) * h.bucketWidth
-		}
-	}
-	return float64(len(h.buckets)) * h.bucketWidth
-}
-
 // Geomean returns the geometric mean of vs; zero and negative inputs are
 // clamped to a small positive epsilon so a single pathological sample does
 // not zero the aggregate.
@@ -341,17 +277,6 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of a string-keyed map in sorted order, for
-// deterministic report output.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Sparkline renders a series as a compact ASCII chart: one column per
