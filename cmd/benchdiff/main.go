@@ -114,22 +114,45 @@ func run(in, out, baseline string, maxRegress float64, label string) error {
 // "BenchmarkFig11Speedup/SS/LATTE-CC-8  1  123456 ns/op  1.234 speedup".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
-// procSuffix is the "-<GOMAXPROCS>" tail Go appends to benchmark names;
-// stripped so baselines compare across machines with different core counts.
-var procSuffix = regexp.MustCompile(`-\d+$`)
+// digitTail matches a trailing "-<digits>" of a benchmark name.
+var digitTail = regexp.MustCompile(`-\d+$`)
+
+// procSuffix returns the "-<GOMAXPROCS>" tail Go appends to every
+// benchmark name (m[1] of each benchLine match) when GOMAXPROCS > 1,
+// so baselines compare across machines with different core counts.
+// With GOMAXPROCS=1 Go appends none, and a name's own digits
+// (AblationDecompBuffer/on-8) must stay, so the tail counts only when
+// every name ends in the same one.
+func procSuffix(matches [][]string) string {
+	var suffix string
+	for i, m := range matches {
+		tail := digitTail.FindString(m[1])
+		if tail == "" || (i > 0 && tail != suffix) {
+			return ""
+		}
+		suffix = tail
+	}
+	return suffix
+}
 
 // parseBench folds bench output into per-benchmark records, keeping the
 // minimum ns/op seen across repeated -count runs.
 func parseBench(r io.Reader) (*File, error) {
-	out := &File{Benchmarks: map[string]Bench{}}
+	var matches [][]string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
-		if m == nil {
-			continue
+		if m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text())); m != nil {
+			matches = append(matches, m)
 		}
-		name := strings.TrimPrefix(procSuffix.ReplaceAllString(m[1], ""), "Benchmark")
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	suffix := procSuffix(matches)
+	out := &File{Benchmarks: map[string]Bench{}}
+	for _, m := range matches {
+		name := strings.TrimPrefix(strings.TrimSuffix(m[1], suffix), "Benchmark")
 		fields := strings.Fields(m[2])
 		var nsPerOp float64
 		var bytesPerOp, allocsPerOp *float64
@@ -171,7 +194,7 @@ func parseBench(r io.Reader) (*File, error) {
 			out.Benchmarks[name] = Bench{NsPerOp: nsPerOp, BytesPerOp: bytesPerOp, AllocsPerOp: allocsPerOp, Metrics: metrics}
 		}
 	}
-	return out, sc.Err()
+	return out, nil
 }
 
 func readBaseline(path string) (*File, error) {

@@ -291,8 +291,9 @@ func New(cfg Config, ctrl modes.Controller) *Cache {
 // NewL1 builds one SM's L1 for a run. The codecs are fresh, so SC state
 // is private to the cache; a controller that reports UsesHighCap() ==
 // false gets no high-capacity codec, since nothing would read the SC
-// value table it trains on every fill and sampled hit; and stateless
-// codecs measure through memo, which every L1 of the run shares.
+// value table it trains on every fill and sampled hit; stateless
+// codecs measure through memo, which every L1 of the run shares; and
+// SC rebuilds its code book in the memo's scratch.
 func NewL1(cfg Config, ctrl modes.Controller, memo *SizeMemo) *Cache {
 	if hc, ok := ctrl.(interface{ UsesHighCap() bool }); ok && !hc.UsesHighCap() {
 		cfg.Codecs[modes.HighCap] = nil
@@ -301,6 +302,9 @@ func NewL1(cfg Config, ctrl modes.Controller, memo *SizeMemo) *Cache {
 	c := New(cfg, ctrl)
 	for m, codec := range cfg.Codecs {
 		c.sizes[m] = memo.table(codec)
+	}
+	if c.trainer != nil && memo != nil {
+		c.trainer.ShareScratch(&memo.scScratch)
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,6 +101,35 @@ func TestFillMemoSharedAcrossCaches(t *testing.T) {
 	if got := fillLoop(c, src, 300, 100); got != 300 {
 		t.Errorf("memo-less cache rendered %d lines over 300 fills", got)
 	}
+}
+
+// TestSCScratchSharedAcrossCaches: the L1s of one run rebuild their SC
+// code books in the memo's one scratch, so the second L1's first
+// rebuild allocates only its own code book (a 32 KB code index and 8 KB
+// of canonical symbols), not a second scratch.
+func TestSCScratchSharedAcrossCaches(t *testing.T) {
+	steadyState(t)
+	memo := NewSizeMemo()
+	src := newCountingSource(fillTestRegions)
+	a := NewL1(testConfig(), policy.NewStatic(modes.HighCap, "a", 256, 10), memo)
+	b := NewL1(testConfig(), policy.NewStatic(modes.HighCap, "b", 256, 10), memo)
+	fillLoop(a, src, 512, 512)
+	fillLoop(b, src, 512, 512)
+	first := heapBytes(func() { a.trainer.Rebuild() })
+	second := heapBytes(func() { b.trainer.Rebuild() })
+	if second > 48<<10 || second >= first {
+		t.Errorf("first rebuilds allocate %d then %d bytes; the second should hold only its code book (<= %d)", first, second, 48<<10)
+	}
+}
+
+// heapBytes returns the bytes f allocates on the heap.
+func heapBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestMemoMatchesMeasure fills sampled lines of every workload region

@@ -12,12 +12,16 @@ import (
 // because a run's line data is a pure function of the line address
 // (trace.DataSource must be deterministic per address) and stores never
 // change it, and a stateless codec's Measure is a pure function of the
-// data. SC's sizes depend on its code book, so SC never uses the memo.
+// data. SC's sizes depend on its code book, so SC never uses the memo;
+// the memo holds instead the one scratch every SC of the run rebuilds
+// its code book in.
 //
 // One memo serves every L1 of one run; the SMs tick serially, so it
-// needs no lock. It must not outlive the run's data source.
+// needs no lock, and no two SC rebuilds overlap. It must not outlive
+// the run's data source.
 type SizeMemo struct {
-	tables [4]*sizeTable // BDI, FPC, BPC, C-PACK
+	tables    [4]*sizeTable // BDI, FPC, BPC, C-PACK
+	scScratch compress.SCScratch
 }
 
 // NewSizeMemo returns an empty memo.

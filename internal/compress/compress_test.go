@@ -434,19 +434,91 @@ func TestVFTSaturationAndCapacity(t *testing.T) {
 			t.Fatalf("counter = %d, want saturated %d", vc.Count, vftCounterMax)
 		}
 	}
+
+	// Seeded random streams against a map-based reference, over periods
+	// that fill the table and periods that do not. The pools include
+	// values that differ only in their high byte, or only in a middle
+	// one, so every pass of the value sort decides some order.
+	rng := rand.New(rand.NewSource(17))
+	vft = NewVFT(VFTEntries)
+	ref := refVFT{capacity: VFTEntries, counts: map[uint32]uint16{}}
+	full := 0
+	for period := 0; period < 8; period++ {
+		var stream []uint32
+		for b := uint32(0); b < 256; b++ {
+			stream = append(stream, b<<24|0x00abcdef, 0x12003456|b<<16, 0x7f120001|b<<8)
+		}
+		for i := rng.Intn(3) * 400; i > 0; i-- {
+			stream = append(stream, rng.Uint32())
+		}
+		for i := 0; i < 4; i++ {
+			v := rng.Uint32()
+			for k := 0; k < vftCounterMax+rng.Intn(200); k++ {
+				stream = append(stream, v)
+			}
+		}
+		rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+		for _, v := range stream {
+			vft.Observe(v)
+			ref.observe(v)
+		}
+		if vft.Len() != len(ref.counts) {
+			t.Fatalf("period %d: VFT holds %d values, reference %d", period, vft.Len(), len(ref.counts))
+		}
+		if vft.Len() == VFTEntries {
+			full++
+		}
+		prefix := []ValueCount{{Value: 7, Count: 9}}
+		got, want := vft.AppendCounts(prefix), append(prefix, ref.sorted()...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("period %d: AppendCounts differs from the reference (%d entries, want %d)", period, len(got), len(want))
+		}
+		vft.Reset()
+		clear(ref.counts)
+	}
+	if full == 0 || full == 8 {
+		t.Fatalf("%d of 8 periods filled the VFT, want some full and some not", full)
+	}
+}
+
+// refVFT is the map-based reference for VFT: values are admitted only
+// while the table is not full, and counts saturate at 4095.
+type refVFT struct {
+	capacity int
+	counts   map[uint32]uint16
+}
+
+func (r *refVFT) observe(v uint32) {
+	c, ok := r.counts[v]
+	switch {
+	case !ok && len(r.counts) < r.capacity:
+		r.counts[v] = 1
+	case ok && c < vftCounterMax:
+		r.counts[v] = c + 1
+	}
+}
+
+// sorted returns the reference entries in value order.
+func (r *refVFT) sorted() []ValueCount {
+	out := make([]ValueCount, 0, len(r.counts))
+	for v, c := range r.counts {
+		out = append(out, ValueCount{Value: v, Count: c})
+	}
+	slices.SortFunc(out, func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
+	return out
 }
 
 // scFromCounts builds an SC code book straight from value counts,
 // bypassing the VFT and its 12-bit saturation.
 func scFromCounts(counts map[uint32]uint16) *SC {
 	sc := NewSC()
-	sc.scratch = newHuffBuilder(len(counts) + 1)
+	b := newHuffBuilder(len(counts) + 1)
 	sc.table = newHuffTable(len(counts) + 1)
 	for v, c := range counts {
-		sc.scratch.counts = append(sc.scratch.counts, ValueCount{Value: v, Count: c})
+		b.counts = append(b.counts, ValueCount{Value: v, Count: c})
 	}
-	slices.SortFunc(sc.scratch.counts, func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
-	sc.scratch.build(sc.table)
+	slices.SortFunc(b.counts, func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
+	b.build(sc.table)
 	return sc
 }
 

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -99,4 +100,39 @@ func TestSCRebuildAllocationFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a small rebuild allocates %.1f times, want 0", allocs)
 	}
+}
+
+// TestSCTableBytes: a codec's own tables after its first rebuild, the
+// VFT and the code index at 32 KB each and the canonical symbols at
+// 8 KB, fit in 80 KB. The rebuild scratch is not counted: the codecs of
+// a run share one, here warmed by another codec's rebuild.
+func TestSCTableBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	lines := make([][]byte, 256)
+	for i := range lines {
+		lines[i] = lineGenerators["random"](rng) // fills the VFT: a full-size book
+	}
+	var scratch SCScratch
+	period := func() {
+		sc := NewSC()
+		sc.ShareScratch(&scratch)
+		for _, l := range lines {
+			sc.Train(l)
+		}
+		sc.Rebuild()
+	}
+	period()
+	if n := heapBytes(period); n > 80<<10 {
+		t.Errorf("NewSC, Train and the first Rebuild allocate %d bytes besides the shared scratch, want at most %d", n, 80<<10)
+	}
+}
+
+// heapBytes returns the bytes f allocates on the heap.
+func heapBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

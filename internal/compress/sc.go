@@ -1,9 +1,8 @@
 package compress
 
 import (
-	"cmp"
+	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 // SC implements Huffman-coding based Statistical Compression (Arelakis &
@@ -23,15 +22,17 @@ import (
 // book, Encoded values carry the code-book generation, and the cache
 // flushes compressed lines when the controller requests the rebuild.
 //
-// Like the hardware tables, the code book and the scratch it is built
-// in are fixed-size: allocated on the first Rebuild and rewritten in
-// place at every later one. In-place reuse is safe because each SM's
-// cache owns its codecs, and Decompress rejects a line from an older
-// generation before it reads the table.
+// Like the hardware tables, the code book is fixed-size: allocated on
+// the first Rebuild and rewritten in place at every later one. In-place
+// reuse is safe because each SM's cache owns its codecs, and Decompress
+// rejects a line from an older generation before it reads the table.
+// The scratch a book is built in is dead once Rebuild returns, so the
+// codecs of one run share one (ShareScratch); a codec left alone makes
+// its own on its first Rebuild.
 type SC struct {
 	vft        *VFT
 	table      *huffTable
-	scratch    *huffBuilder
+	scratch    *SCScratch
 	generation uint64
 }
 
@@ -39,6 +40,16 @@ type SC struct {
 // code book. Until the first Rebuild, Compress stores lines raw (the
 // hardware behaves identically while the first period's VFT trains).
 func NewSC() *SC { return &SC{vft: NewVFT(VFTEntries)} }
+
+// SCScratch is the working memory of a code-book rebuild. Its contents
+// are dead between rebuilds, so SC codecs that never rebuild at the
+// same time, such as the L1s of one run (whose SMs tick serially), can
+// share one. The zero value is ready to use; it is sized on first use.
+type SCScratch struct{ b huffBuilder }
+
+// ShareScratch makes s rebuild in scratch instead of a scratch of its
+// own. The caller must not let two codecs sharing it rebuild at once.
+func (s *SC) ShareScratch(scratch *SCScratch) { s.scratch = scratch }
 
 // Name implements Codec.
 func (*SC) Name() string { return "SC" }
@@ -58,9 +69,8 @@ func (s *SC) Generation() uint64 { return s.generation }
 // VFT that snoops the fill path.
 func (s *SC) Train(line []byte) {
 	checkLine(line)
-	w := words32(line)
-	for _, v := range w[:] {
-		s.vft.Observe(v)
+	for i := 0; i < LineSize; i += 4 {
+		s.vft.Observe(binary.LittleEndian.Uint32(line[i:]))
 	}
 }
 
@@ -76,10 +86,13 @@ func (s *SC) Rebuild() bool {
 		return false
 	}
 	if s.scratch == nil {
-		s.scratch = newHuffBuilder(s.vft.capacity + 1)
+		s.scratch = new(SCScratch)
+	}
+	if s.table == nil {
 		s.table = newHuffTable(s.vft.capacity + 1)
 	}
-	b := s.scratch
+	b := &s.scratch.b
+	b.reserve(s.vft.capacity + 1)
 	b.counts = s.vft.AppendCounts(b.counts[:0])
 	s.vft.Reset()
 	s.generation++
@@ -95,14 +108,14 @@ func (s *SC) Compress(line []byte) Encoded {
 	if s.table == nil {
 		return Encoded{Data: append([]byte(nil), line...), Size: LineSize, Raw: true, Generation: s.generation}
 	}
-	words := words32(line)
 	var w bitWriter
-	for _, v := range words {
-		if c, ok := s.table.lookup.get(v); ok {
-			w.WriteBits(c.bits, c.len)
+	for i := 0; i < LineSize; i += 4 {
+		v := binary.LittleEndian.Uint32(line[i:])
+		if c := huffCode(s.table.lookup.get(v)); c != 0 {
+			w.WriteBits(c.bits(), c.length())
 		} else {
 			esc := s.table.escape
-			w.WriteBits(esc.bits, esc.len)
+			w.WriteBits(esc.bits(), esc.length())
 			w.WriteBits(uint64(v), 32)
 		}
 	}
@@ -123,13 +136,12 @@ func (s *SC) Measure(line []byte) Encoded {
 	if s.table == nil {
 		return Encoded{Size: LineSize, Raw: true, Generation: s.generation}
 	}
-	words := words32(line)
 	var nbit uint
-	for _, v := range words {
-		if c, ok := s.table.lookup.get(v); ok {
-			nbit += c.len
+	for i := 0; i < LineSize; i += 4 {
+		if c := huffCode(s.table.lookup.get(binary.LittleEndian.Uint32(line[i:]))); c != 0 {
+			nbit += c.length()
 		} else {
-			nbit += s.table.escape.len + 32
+			nbit += s.table.escape.length() + 32
 		}
 	}
 	size := (int(nbit) + 7) / 8
@@ -219,34 +231,37 @@ const vftCounterMax = 1<<12 - 1
 
 // VFT is a bounded value-frequency table with saturating counters. When
 // full, unseen values are not admitted — matching a simple hardware table
-// without replacement, which is the conservative choice.
-// The table is open-addressed (linear probing over a power-of-two slot
-// array at least 4x the entry capacity) rather than a Go map: Observe
-// runs once per 32-bit word of every sampled fill, and the fixed probe
-// sequence costs a fraction of a map access while allocating nothing
-// after construction.
+// without replacement, which is the conservative choice. It is a
+// valueTable whose payload is the count, which is never 0 once set.
 type VFT struct {
 	capacity int
 	size     int
-	keys     []uint32
-	counts   []uint16
-	used     []bool
-	mask     uint32
+	table    valueTable
 }
 
 // NewVFT returns an empty VFT with the given entry capacity.
 func NewVFT(capacity int) *VFT {
-	slots := 16
-	for slots < 4*capacity {
-		slots <<= 1
+	return &VFT{capacity: capacity, table: newValueTable(capacity)}
+}
+
+// valueTable maps 32-bit values to nonzero 32-bit payloads: the VFT's
+// counts and the code index's codes. Each slot is one word, value<<32 |
+// payload, and payload 0 marks a free slot. It is open-addressed, not a
+// Go map: Observe and Measure probe it once per 32-bit word of every
+// line, and linear probing over a power-of-two slot array at least 4x
+// the entry capacity costs a fraction of a map access while allocating
+// nothing after construction.
+type valueTable struct {
+	slots []uint64
+	mask  uint32
+}
+
+func newValueTable(entries int) valueTable {
+	n := 16
+	for n < 4*entries {
+		n <<= 1
 	}
-	return &VFT{
-		capacity: capacity,
-		keys:     make([]uint32, slots),
-		counts:   make([]uint16, slots),
-		used:     make([]bool, slots),
-		mask:     uint32(slots - 1),
-	}
+	return valueTable{slots: make([]uint64, n), mask: uint32(n - 1)}
 }
 
 // hashSlot mixes v (murmur3 finalizer) into a starting probe index.
@@ -261,25 +276,35 @@ func hashSlot(v, mask uint32) uint32 {
 	return v & mask
 }
 
-// Observe counts one occurrence of v, saturating at the 12-bit limit.
-func (t *VFT) Observe(v uint32) {
+// find returns v's slot, or the free slot that ends its probe run.
+func (t *valueTable) find(v uint32) uint32 {
 	i := hashSlot(v, t.mask)
-	for t.used[i] {
-		if t.keys[i] == v {
-			if t.counts[i] < vftCounterMax {
-				t.counts[i]++
-			}
-			return
-		}
+	for s := t.slots[i]; uint32(s) != 0 && uint32(s>>32) != v; s = t.slots[i] {
 		i = (i + 1) & t.mask
 	}
-	if t.size >= t.capacity {
-		return
+	return i
+}
+
+// get returns v's payload, or 0 when v is absent.
+func (t *valueTable) get(v uint32) uint32 { return uint32(t.slots[t.find(v)]) }
+
+// put sets v's payload, which must be nonzero; the table must have room.
+func (t *valueTable) put(v, payload uint32) {
+	t.slots[t.find(v)] = uint64(v)<<32 | uint64(payload)
+}
+
+// Observe counts one occurrence of v, saturating at the 12-bit limit.
+func (t *VFT) Observe(v uint32) {
+	i := t.table.find(v)
+	switch count := uint32(t.table.slots[i]); {
+	case count == 0:
+		if t.size < t.capacity {
+			t.table.slots[i] = uint64(v)<<32 | 1
+			t.size++
+		}
+	case count < vftCounterMax:
+		t.table.slots[i]++
 	}
-	t.used[i] = true
-	t.keys[i] = v
-	t.counts[i] = 1
-	t.size++
 }
 
 // Len returns the number of tracked values.
@@ -292,32 +317,64 @@ type ValueCount struct {
 }
 
 // AppendCounts appends the tracked values and their counts to dst,
-// sorted by value, and returns the extended slice. It allocates nothing
-// when dst has room for Len more entries.
+// sorted by value, and returns the extended slice. The sort's second
+// buffer is the Len entries past the returned slice's end, so it
+// allocates nothing when dst has room for 2·Len more entries.
 //
 //lint:hotpath
 func (t *VFT) AppendCounts(dst []ValueCount) []ValueCount {
 	start := len(dst)
-	for i, u := range t.used {
-		if u {
-			dst = append(dst, ValueCount{Value: t.keys[i], Count: t.counts[i]})
+	for _, s := range t.table.slots {
+		if uint32(s) != 0 {
+			dst = append(dst, ValueCount{Value: uint32(s >> 32), Count: uint16(s)})
 		}
 	}
-	slices.SortFunc(dst[start:], func(a, b ValueCount) int { return cmp.Compare(a.Value, b.Value) })
-	return dst
+	end := len(dst)
+	dst = append(dst, dst[start:]...)
+	sortByValue(dst[start:end], dst[end:])
+	return dst[:end]
+}
+
+// sortByValue sorts a by value with an LSD radix sort over the value's
+// four bytes, using buf (as long as a) as the second buffer. Each pass
+// swaps the two, so after the fourth the result is back in a.
+//
+//lint:hotpath
+func sortByValue(a, buf []ValueCount) {
+	for shift := uint(0); shift < 32; shift += 8 {
+		var start [256]int
+		for _, e := range a {
+			start[e.Value>>shift&0xff]++
+		}
+		pos := 0
+		for d, c := range start {
+			start[d] = pos
+			pos += c
+		}
+		for _, e := range a {
+			d := e.Value >> shift & 0xff
+			buf[start[d]] = e
+			start[d]++
+		}
+		a, buf = buf, a
+	}
 }
 
 // Reset clears the table.
 func (t *VFT) Reset() {
-	clear(t.used)
+	clear(t.table.slots)
 	t.size = 0
 }
 
-// huffCode is one canonical Huffman code.
-type huffCode struct {
-	bits uint64
-	len  uint
-}
+// huffCode is one canonical Huffman code packed as bits<<8 | length.
+// Codes are at most maxCodeLen bits long, so it fits a valueTable
+// payload, and every code in a book of two or more symbols is at least
+// one bit long, so it is nonzero.
+type huffCode uint32
+
+func (c huffCode) bits() uint64 { return uint64(c >> 8) }
+
+func (c huffCode) length() uint { return uint(c & 0xff) }
 
 // huffSymbol is a decoded symbol: either a concrete value or the escape.
 type huffSymbol struct {
@@ -329,7 +386,7 @@ type huffSymbol struct {
 // escape symbol, with a first-code decoding table (the DeLUT analogue).
 // It is sized once for the largest book and rewritten by assign.
 type huffTable struct {
-	lookup codeIndex // value -> code, for the hot encode paths
+	lookup valueTable // value -> huffCode, for the hot encode paths
 	escape huffCode
 	// canonical decode structures, indexed by code length 1..maxCodeLen
 	firstCode  [maxCodeLen + 1]uint64
@@ -338,9 +395,11 @@ type huffTable struct {
 	symbols    []huffSymbol // in canonical order
 }
 
+// newHuffTable sizes a table for books of up to maxSymbols symbols; the
+// escape is one of them but never enters the index.
 func newHuffTable(maxSymbols int) *huffTable {
 	return &huffTable{
-		lookup:  newCodeIndex(maxSymbols),
+		lookup:  newValueTable(maxSymbols - 1),
 		symbols: make([]huffSymbol, 0, maxSymbols),
 	}
 }
@@ -348,55 +407,6 @@ func newHuffTable(maxSymbols int) *huffTable {
 // maxCodeLen bounds code lengths; frequencies are flattened until the
 // bound holds, which mirrors the fixed-width DeLUT of the hardware.
 const maxCodeLen = 24
-
-// codeIndex is an open-addressed (linear-probing) value→code lookup,
-// sized for the largest book, rewritten at each Rebuild and read-only
-// in between. Compress/Measure probe it once per 32-bit word of every
-// line; see the VFT comment for why this beats a Go map on that path.
-type codeIndex struct {
-	keys  []uint32
-	codes []huffCode
-	used  []bool
-	mask  uint32
-}
-
-func newCodeIndex(entries int) codeIndex {
-	slots := 16
-	for slots < 4*entries {
-		slots <<= 1
-	}
-	return codeIndex{
-		keys:  make([]uint32, slots),
-		codes: make([]huffCode, slots),
-		used:  make([]bool, slots),
-		mask:  uint32(slots - 1),
-	}
-}
-
-func (t *codeIndex) put(v uint32, c huffCode) {
-	i := hashSlot(v, t.mask)
-	for t.used[i] {
-		if t.keys[i] == v {
-			t.codes[i] = c
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	t.used[i] = true
-	t.keys[i] = v
-	t.codes[i] = c
-}
-
-func (t *codeIndex) get(v uint32) (huffCode, bool) {
-	i := hashSlot(v, t.mask)
-	for t.used[i] {
-		if t.keys[i] == v {
-			return t.codes[i], true
-		}
-		i = (i + 1) & t.mask
-	}
-	return huffCode{}, false
-}
 
 // huffNode is a Huffman construction tree node. Nodes live in one slab,
 // leaves first and then internal nodes in creation order, addressed by
@@ -413,7 +423,7 @@ type huffNode struct {
 // for the largest book (a full VFT plus the escape) and reused by every
 // later rebuild.
 type huffBuilder struct {
-	counts     []ValueCount // VFT contents, sorted by value
+	counts     []ValueCount // VFT contents, sorted by value; room for twice as many, for AppendCounts
 	weights    []uint64     // per symbol: the counts, then the escape
 	lengths    []uint
 	nodes      []huffNode
@@ -421,8 +431,18 @@ type huffBuilder struct {
 }
 
 func newHuffBuilder(maxSymbols int) *huffBuilder {
-	return &huffBuilder{
-		counts:  make([]ValueCount, 0, maxSymbols-1),
+	b := new(huffBuilder)
+	b.reserve(maxSymbols)
+	return b
+}
+
+// reserve sizes b for books of up to maxSymbols symbols.
+func (b *huffBuilder) reserve(maxSymbols int) {
+	if len(b.weights) >= maxSymbols {
+		return
+	}
+	*b = huffBuilder{
+		counts:  make([]ValueCount, 0, 2*(maxSymbols-1)),
 		weights: make([]uint64, maxSymbols),
 		lengths: make([]uint, maxSymbols),
 		nodes:   make([]huffNode, 2*maxSymbols-1),
@@ -475,18 +495,18 @@ func (t *huffTable) assign(counts []ValueCount, lengths []uint) {
 	}
 	next := t.firstIndex
 	t.symbols = t.symbols[:len(lengths)]
-	clear(t.lookup.used)
+	clear(t.lookup.slots)
 	for i, l := range lengths {
 		r := next[l]
 		next[l]++
-		hc := huffCode{bits: t.firstCode[l] + uint64(r-t.firstIndex[l]), len: l}
+		hc := huffCode((t.firstCode[l]+uint64(r-t.firstIndex[l]))<<8 | uint64(l))
 		if i == len(counts) {
 			t.escape = hc
 			t.symbols[r] = huffSymbol{escape: true}
 			continue
 		}
 		t.symbols[r] = huffSymbol{value: counts[i].Value}
-		t.lookup.put(counts[i].Value, hc)
+		t.lookup.put(counts[i].Value, uint32(hc))
 	}
 }
 

@@ -13,11 +13,17 @@ import (
 // book, symbol for symbol and bit for bit, or every simulated result
 // that depends on SC line sizes would drift.
 
+// refCode is one reference canonical Huffman code.
+type refCode struct {
+	bits uint64
+	len  uint
+}
+
 // refHuffTable is the reference builder's output: the full code book
 // as a map, plus the canonical decode structures.
 type refHuffTable struct {
-	codes      map[uint32]huffCode
-	escape     huffCode
+	codes      map[uint32]refCode
+	escape     refCode
 	firstCode  [maxCodeLen + 1]uint64
 	firstIndex [maxCodeLen + 1]int
 	countAtLen [maxCodeLen + 1]int
@@ -65,7 +71,7 @@ func refBuildHuffTable(counts map[uint32]uint16) *refHuffTable {
 		return idx[a] < idx[b]
 	})
 
-	t := &refHuffTable{codes: make(map[uint32]huffCode, len(syms))}
+	t := &refHuffTable{codes: make(map[uint32]refCode, len(syms))}
 	t.symbols = make([]huffSymbol, len(syms))
 	var code uint64
 	var prevLen uint
@@ -76,7 +82,7 @@ func refBuildHuffTable(counts map[uint32]uint16) *refHuffTable {
 		}
 		code <<= l - prevLen
 		prevLen = l
-		hc := huffCode{bits: code, len: l}
+		hc := refCode{bits: code, len: l}
 		if syms[i].escape {
 			t.escape = hc
 		} else {
