@@ -138,11 +138,6 @@ func (s *Stats) Add(o Stats) {
 	s.WriteExpansions += o.WriteExpansions
 	s.UncompressedSize += o.UncompressedSize
 	s.CompressedSize += o.CompressedSize
-	s.AddModes(o)
-}
-
-// AddModes accumulates only the per-mode (mode-indexed) counters of o.
-func (s *Stats) AddModes(o Stats) {
 	for m := 0; m < modes.NumModes; m++ {
 		s.InsertsByMode[m] += o.InsertsByMode[m]
 		s.HitsByMode[m] += o.HitsByMode[m]

@@ -60,22 +60,3 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		t.Fatalf("Add is not additive:\n got %+v\nwant %+v", dst, want)
 	}
 }
-
-// TestStatsAddModes: the mode-indexed add must touch only the per-mode
-// arrays, leaving scalar counters alone.
-func TestStatsAddModes(t *testing.T) {
-	var src Stats
-	fillDistinct(reflect.ValueOf(&src).Elem(), 1)
-
-	var dst Stats
-	dst.AddModes(src)
-
-	want := Stats{
-		InsertsByMode:   src.InsertsByMode,
-		HitsByMode:      src.HitsByMode,
-		SubBlocksByMode: src.SubBlocksByMode,
-	}
-	if dst != want {
-		t.Fatalf("AddModes touched scalar fields:\n got %+v\nwant %+v", dst, want)
-	}
-}

@@ -31,15 +31,20 @@ import (
 //	magic "LCR1" (4 bytes) | modes.NumModes (1 byte)
 //	key:    fingerprint (8 bytes LE), workload, policy,
 //	        variant flags (1 byte), variant extra-hit-latency
-//	result: every sim.Result field, in struct order; series points carry
-//	        the cycle as uvarint and the value as raw IEEE-754 bits (8
-//	        bytes LE) so restored floats are bit-identical
+//	result: every sim.Result field, in sim.Result.Walk's order; EPKernels
+//	        entries as uvarint of their uint32 bits; a series as a
+//	        presence byte (0 nil, 1 present), then its name and points,
+//	        each point's cycle as uvarint and value as raw IEEE-754 bits
+//	        (8 bytes LE) so restored floats are bit-identical
 //	hash:   StateHash of the encoded result (8 bytes LE)
 //	sum:    FNV-1a over every preceding byte (8 bytes LE)
 //
 // Strings and slices are length-prefixed. Decode bounds every length
 // against the bytes actually remaining, so a corrupt prefix can never
-// drive an allocation larger than the (already size-checked) file.
+// drive an allocation larger than the (already size-checked) file. It
+// also refuses every encoding Encode never writes (non-minimal uvarints,
+// unknown variant flags, EPKernels entries past 32 bits), so an entry
+// that decodes re-encodes to its own bytes.
 const (
 	magic = "LCR1"
 
@@ -94,103 +99,60 @@ func variantFlags(v harness.Variant) byte {
 
 // Encode serializes one (key, result) pair into a self-validating entry.
 func Encode(k harness.StoreKey, res sim.Result) []byte {
-	b := make([]byte, 0, 256+16*len(res.Kernels)+len(res.EPLog)+5*len(res.EPKernels)+
-		16*(seriesLen(res.ToleranceSeries)+seriesLen(res.CapacitySeries)))
-	b = append(b, magic...)
-	b = append(b, byte(modes.NumModes))
+	w := writer{b: make([]byte, 0, 256+16*len(res.Kernels)+len(res.EPLog)+5*len(res.EPKernels)+
+		16*(res.ToleranceSeries.Len()+res.CapacitySeries.Len()))}
+	w.b = append(w.b, magic...)
+	w.byte(modes.NumModes)
 
 	// Key block.
-	b = binary.LittleEndian.AppendUint64(b, k.Fingerprint)
-	b = appendString(b, k.Workload)
-	b = appendString(b, string(k.Policy))
-	b = append(b, variantFlags(k.Variant))
-	b = binary.AppendUvarint(b, k.Variant.ExtraHitLatency)
+	w.b = binary.LittleEndian.AppendUint64(w.b, k.Fingerprint)
+	w.str(k.Workload)
+	w.str(string(k.Policy))
+	w.byte(variantFlags(k.Variant))
+	w.uvarint(k.Variant.ExtraHitLatency)
 
 	// Result block.
-	b = appendString(b, res.Policy)
-	b = appendString(b, res.Workload)
-	b = binary.AppendUvarint(b, res.Cycles)
-	b = binary.AppendUvarint(b, res.Instructions)
-
-	for _, v := range []uint64{
-		res.Cache.Accesses, res.Cache.Hits, res.Cache.Misses,
-		res.Cache.CompressedHits, res.Cache.DecompWait, res.Cache.DecompBusy,
-		res.Cache.DecompBufferHits, res.Cache.Evictions, res.Cache.Fills,
-		res.Cache.FlushedLines, res.Cache.WriteExpansions,
-		res.Cache.UncompressedSize, res.Cache.CompressedSize,
-	} {
-		b = binary.AppendUvarint(b, v)
-	}
-	for m := 0; m < modes.NumModes; m++ {
-		b = binary.AppendUvarint(b, res.Cache.InsertsByMode[m])
-		b = binary.AppendUvarint(b, res.Cache.HitsByMode[m])
-		b = binary.AppendUvarint(b, res.Cache.SubBlocksByMode[m])
-		b = binary.AppendUvarint(b, res.ModeEPs[m])
-	}
-
-	for _, v := range []uint64{
-		res.Mem.L2Accesses, res.Mem.L2Hits, res.Mem.L2Misses, res.Mem.L2Writes,
-		res.Mem.DRAMReads, res.Mem.DRAMWrites, res.Mem.BytesL1L2, res.Mem.BytesL2DRAM,
-	} {
-		b = binary.AppendUvarint(b, v)
-	}
-
-	b = binary.AppendUvarint(b, uint64(len(res.Kernels)))
-	for _, kr := range res.Kernels {
-		b = appendString(b, kr.Name)
-		b = binary.AppendUvarint(b, kr.Cycles)
-		b = binary.AppendUvarint(b, kr.Start)
-	}
-
-	b = binary.AppendUvarint(b, res.LoadTxns)
-	b = binary.AppendUvarint(b, res.StoreTxns)
-	b = binary.AppendUvarint(b, res.MSHRStallCycles)
-	b = binary.AppendUvarint(b, res.Switches)
-
-	b = binary.AppendUvarint(b, uint64(len(res.EPLog)))
-	for _, m := range res.EPLog {
-		b = append(b, byte(m))
-	}
-	b = binary.AppendUvarint(b, uint64(len(res.EPKernels)))
-	for _, ki := range res.EPKernels {
-		b = binary.AppendUvarint(b, uint64(uint32(ki)))
-	}
-
-	b = appendSeries(b, res.ToleranceSeries)
-	b = appendSeries(b, res.CapacitySeries)
+	res.Walk(sim.Visitor{String: w.str, Uint64: w.uvarint, Int32: w.int32,
+		Byte: w.byte, Len: w.count, Series: w.series})
 
 	// Footer: the result's own StateHash, then a checksum of everything.
-	b = binary.LittleEndian.AppendUint64(b, res.StateHash())
+	b := binary.LittleEndian.AppendUint64(w.b, res.StateHash())
 	sum := invariant.NewHash()
 	sum.Bytes(b)
 	return binary.LittleEndian.AppendUint64(b, sum.Sum())
 }
 
-func seriesLen(s *stats.Series) int {
-	if s == nil {
-		return 0
-	}
-	return s.Len()
+// writer appends an entry's fields; its methods are the encoding
+// visitor of sim.Result.Walk, each returning its argument.
+type writer struct{ b []byte }
+
+func (w *writer) byte(x byte) byte { w.b = append(w.b, x); return x }
+
+func (w *writer) uvarint(x uint64) uint64 { w.b = binary.AppendUvarint(w.b, x); return x }
+
+func (w *writer) int32(x int32) int32 { w.uvarint(uint64(uint32(x))); return x }
+
+func (w *writer) count(n int) int { w.uvarint(uint64(n)); return n }
+
+func (w *writer) str(s string) string {
+	w.count(len(s))
+	w.b = append(w.b, s...)
+	return s
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendSeries(b []byte, s *stats.Series) []byte {
+func (w *writer) series(s *stats.Series) *stats.Series {
 	if s == nil {
-		return append(b, 0)
+		w.byte(0)
+		return nil
 	}
-	b = append(b, 1)
-	b = appendString(b, s.Name)
-	pts := s.Points()
-	b = binary.AppendUvarint(b, uint64(len(pts)))
-	for _, p := range pts {
-		b = binary.AppendUvarint(b, p.Cycle)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Value))
+	w.byte(1)
+	w.str(s.Name)
+	w.count(s.Len())
+	for _, p := range s.Points() {
+		w.uvarint(p.Cycle)
+		w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(p.Value))
 	}
-	return b
+	return s
 }
 
 // Decode parses and validates one entry. It never panics on garbage:
@@ -222,68 +184,22 @@ func Decode(raw []byte) (harness.StoreKey, sim.Result, error) {
 	k.Workload = r.str()
 	k.Policy = harness.Policy(r.str())
 	flags := r.byte()
+	if flags&^(variantCapacityOnly|variantLatencyOnly|variantSampleSeries) != 0 {
+		r.fail("unknown variant flags 0x%02x", flags)
+	}
 	k.Variant.CapacityOnly = flags&variantCapacityOnly != 0
 	k.Variant.LatencyOnly = flags&variantLatencyOnly != 0
 	k.Variant.SampleSeries = flags&variantSampleSeries != 0
 	k.Variant.ExtraHitLatency = r.uvarint()
 
-	res.Policy = r.str()
-	res.Workload = r.str()
-	res.Cycles = r.uvarint()
-	res.Instructions = r.uvarint()
-
-	for _, p := range []*uint64{
-		&res.Cache.Accesses, &res.Cache.Hits, &res.Cache.Misses,
-		&res.Cache.CompressedHits, &res.Cache.DecompWait, &res.Cache.DecompBusy,
-		&res.Cache.DecompBufferHits, &res.Cache.Evictions, &res.Cache.Fills,
-		&res.Cache.FlushedLines, &res.Cache.WriteExpansions,
-		&res.Cache.UncompressedSize, &res.Cache.CompressedSize,
-	} {
-		*p = r.uvarint()
-	}
-	for m := 0; m < modes.NumModes; m++ {
-		res.Cache.InsertsByMode[m] = r.uvarint()
-		res.Cache.HitsByMode[m] = r.uvarint()
-		res.Cache.SubBlocksByMode[m] = r.uvarint()
-		res.ModeEPs[m] = r.uvarint()
-	}
-
-	for _, p := range []*uint64{
-		&res.Mem.L2Accesses, &res.Mem.L2Hits, &res.Mem.L2Misses, &res.Mem.L2Writes,
-		&res.Mem.DRAMReads, &res.Mem.DRAMWrites, &res.Mem.BytesL1L2, &res.Mem.BytesL2DRAM,
-	} {
-		*p = r.uvarint()
-	}
-
-	if n := r.count(); n > 0 {
-		res.Kernels = make([]sim.KernelResult, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			res.Kernels = append(res.Kernels, sim.KernelResult{
-				Name: r.str(), Cycles: r.uvarint(), Start: r.uvarint(),
-			})
-		}
-	}
-
-	res.LoadTxns = r.uvarint()
-	res.StoreTxns = r.uvarint()
-	res.MSHRStallCycles = r.uvarint()
-	res.Switches = r.uvarint()
-
-	if n := r.count(); n > 0 {
-		res.EPLog = make([]modes.Mode, 0, n)
-		for _, mb := range r.take(n) {
-			res.EPLog = append(res.EPLog, modes.Mode(mb))
-		}
-	}
-	if n := r.count(); n > 0 {
-		res.EPKernels = make([]int32, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			res.EPKernels = append(res.EPKernels, int32(uint32(r.uvarint())))
-		}
-	}
-
-	res.ToleranceSeries = r.series()
-	res.CapacitySeries = r.series()
+	res.Walk(sim.Visitor{
+		String: func(string) string { return r.str() },
+		Uint64: func(uint64) uint64 { return r.uvarint() },
+		Int32:  func(int32) int32 { return r.int32() },
+		Byte:   func(byte) byte { return r.byte() },
+		Len:    func(int) int { return r.count() },
+		Series: func(*stats.Series) *stats.Series { return r.series() },
+	})
 
 	if r.err != nil {
 		return harness.StoreKey{}, sim.Result{}, r.err
@@ -352,8 +268,25 @@ func (r *reader) uvarint() uint64 {
 		r.fail("bad uvarint at offset %d", r.pos)
 		return 0
 	}
+	// A trailing zero byte pads the value; Encode never writes one, so
+	// such an entry would not re-encode to its own bytes.
+	if n > 1 && r.data[r.pos+n-1] == 0 {
+		r.fail("non-minimal uvarint at offset %d", r.pos)
+		return 0
+	}
 	r.pos += n
 	return v
+}
+
+// int32 reads an EPKernels entry, which Encode writes as the uvarint of
+// its uint32 bits.
+func (r *reader) int32() int32 {
+	v := r.uvarint()
+	if v > math.MaxUint32 {
+		r.fail("int32 out of range: %d", v)
+		return 0
+	}
+	return int32(uint32(v))
 }
 
 // count reads a length prefix and rejects implausible values: a

@@ -78,80 +78,33 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// StateHash folds every field of the result into one FNV-1a value. Two
-// runs of the same workload, policy, and configuration must produce the
-// same hash — the harness's determinism self-check compares hashes
-// instead of diffing every counter, and any nondeterminism (map-order
-// iteration, wall-clock leakage, data races) shows up as a mismatch.
+// StateHash folds every field of the result, in Walk's order, into one
+// FNV-1a value. Two runs of the same workload, policy, and configuration
+// must produce the same hash — the harness's determinism self-check
+// compares hashes instead of diffing every counter, and any
+// nondeterminism (map-order iteration, wall-clock leakage, data races)
+// shows up as a mismatch.
 func (r Result) StateHash() uint64 {
 	h := invariant.NewHash()
-	h.String(r.Policy)
-	h.String(r.Workload)
-	h.Uint64(r.Cycles)
-	h.Uint64(r.Instructions)
-
-	h.Uint64(r.Cache.Accesses)
-	h.Uint64(r.Cache.Hits)
-	h.Uint64(r.Cache.Misses)
-	h.Uint64(r.Cache.CompressedHits)
-	h.Uint64(r.Cache.DecompWait)
-	h.Uint64(r.Cache.DecompBusy)
-	h.Uint64(r.Cache.DecompBufferHits)
-	h.Uint64(r.Cache.Evictions)
-	h.Uint64(r.Cache.Fills)
-	h.Uint64(r.Cache.FlushedLines)
-	h.Uint64(r.Cache.WriteExpansions)
-	h.Uint64(r.Cache.UncompressedSize)
-	h.Uint64(r.Cache.CompressedSize)
-	for m := 0; m < modes.NumModes; m++ {
-		h.Uint64(r.Cache.InsertsByMode[m])
-		h.Uint64(r.Cache.HitsByMode[m])
-		h.Uint64(r.Cache.SubBlocksByMode[m])
-		h.Uint64(r.ModeEPs[m])
-	}
-
-	h.Uint64(r.Mem.L2Accesses)
-	h.Uint64(r.Mem.L2Hits)
-	h.Uint64(r.Mem.L2Misses)
-	h.Uint64(r.Mem.L2Writes)
-	h.Uint64(r.Mem.DRAMReads)
-	h.Uint64(r.Mem.DRAMWrites)
-	h.Uint64(r.Mem.BytesL1L2)
-	h.Uint64(r.Mem.BytesL2DRAM)
-
-	h.Uint64(uint64(len(r.Kernels)))
-	for _, k := range r.Kernels {
-		h.String(k.Name)
-		h.Uint64(k.Cycles)
-		h.Uint64(k.Start)
-	}
-
-	h.Uint64(r.LoadTxns)
-	h.Uint64(r.StoreTxns)
-	h.Uint64(r.MSHRStallCycles)
-	h.Uint64(r.Switches)
-
-	h.Uint64(uint64(len(r.EPLog)))
-	for _, m := range r.EPLog {
-		h.Byte(byte(m))
-	}
-	h.Uint64(uint64(len(r.EPKernels)))
-	for _, k := range r.EPKernels {
-		h.Int(int64(k))
-	}
-
-	for _, s := range []*stats.Series{r.ToleranceSeries, r.CapacitySeries} {
-		if s == nil {
-			h.Byte(0)
-			continue
-		}
-		pts := s.Points()
-		h.Uint64(uint64(len(pts)))
-		for _, p := range pts {
-			h.Uint64(p.Cycle)
-			h.Float64(p.Value)
-		}
-	}
+	r.Walk(Visitor{
+		String: func(s string) string { h.String(s); return s },
+		Uint64: func(x uint64) uint64 { h.Uint64(x); return x },
+		Int32:  func(x int32) int32 { h.Int(int64(x)); return x },
+		Byte:   func(b byte) byte { h.Byte(b); return b },
+		Len:    func(n int) int { h.Uint64(uint64(n)); return n },
+		Series: func(s *stats.Series) *stats.Series {
+			if s == nil {
+				h.Byte(0)
+				return nil
+			}
+			h.Uint64(uint64(s.Len()))
+			for _, p := range s.Points() {
+				h.Uint64(p.Cycle)
+				h.Float64(p.Value)
+			}
+			return s
+		},
+	})
 	return h.Sum()
 }
 

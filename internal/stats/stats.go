@@ -156,8 +156,13 @@ func (s *Series) MarshalJSON() ([]byte, error) {
 	}{Name: s.Name, Points: s.pts})
 }
 
-// Len returns the stored point count.
-func (s *Series) Len() int { return len(s.pts) }
+// Len returns the stored point count (0 for a nil series).
+func (s *Series) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.pts)
+}
 
 // Geomean returns the geometric mean of vs; zero and negative inputs are
 // clamped to a small positive epsilon so a single pathological sample does
