@@ -9,7 +9,7 @@
 //
 //	latteccd                          # paper machine on :8437
 //	latteccd -tiny -addr :9000        # CI smoke machine
-//	latteccd -workers 4 -jobs 8       # 4 concurrent jobs, 8-wide sim pool
+//	latteccd -workers 4 -jobs 8       # 32 simulations at once, 8-wide pool per job
 //	latteccd -store /var/lattecc      # persist results across restarts
 //
 // API:
@@ -22,8 +22,8 @@
 //	GET  /metrics              Prometheus text format
 //	GET  /healthz, /readyz     probes (readyz answers 503 while draining)
 //
-// SIGINT/SIGTERM drains gracefully: new submissions get 503, queued and
-// in-flight jobs complete (bounded by -drain), then the process exits 0.
+// SIGINT/SIGTERM drains gracefully: new submissions get 503, every
+// admitted job completes (bounded by -drain), then the process exits 0.
 package main
 
 import (
@@ -57,10 +57,10 @@ func defaultAdvertise(addr string) string {
 func main() {
 	var (
 		addr      = flag.String("addr", ":8437", "listen address")
-		workers   = flag.Int("workers", 2, "jobs executing concurrently")
+		workers   = flag.Int("workers", 2, "workers × -jobs simulations run at once; cache and store hits take no slot")
 		jobs      = flag.Int("jobs", 0, "simulation pool width per job (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue depth (overflow answers 429)")
-		deadline  = flag.Duration("deadline", 5*time.Minute, "default per-job deadline")
+		queue     = flag.Int("queue", 64, "admitted jobs beyond -workers that may be unfinished (overflow answers 429)")
+		deadline  = flag.Duration("deadline", 5*time.Minute, "default per-job deadline, from admission")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
 		quick     = flag.Bool("quick", false, "use a smaller GPU (2 SMs) for a fast smoke pass")
 		tiny      = flag.Bool("tiny", false, "use the CI golden-gate machine (2 SMs, 120k-instruction cap)")

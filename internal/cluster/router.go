@@ -71,9 +71,10 @@ type RegisterResponse struct {
 	Workers    int  `json:"workers"`
 }
 
-// cjob is one admitted cluster job: the original request body (kept so
-// the job can be re-submitted verbatim to another worker), its current
-// placement, and the latest status observed from the owning worker.
+// cjob is one admitted cluster job: the original request body (kept
+// while the job is live, so it can be re-submitted verbatim to another
+// worker), its current placement, and the latest status observed from
+// the owning worker.
 type cjob struct {
 	id    string
 	body  []byte
@@ -451,10 +452,13 @@ func (rt *Router) finalize(j *cjob, st server.JobStatus) {
 // release returns j's admission slot and its current worker's assigned
 // count when its watcher exits for any reason (terminal job, or router
 // close). With retryElsewhere's decrement on a move, every placement is
-// matched by exactly one decrement.
+// matched by exactly one decrement. It also drops the request body:
+// only place reads it, from handleSubmit before the watcher starts or
+// from the watcher itself, so the table keeps no finished job's body.
 func (rt *Router) release(j *cjob) {
 	worker, _, _ := j.owner()
 	rt.reg.NoteAssigned(worker, -1)
+	j.body = nil
 	rt.mu.Lock()
 	rt.inflight--
 	rt.mu.Unlock()

@@ -778,3 +778,33 @@ func TestRouterAdmissionRacesDrain(t *testing.T) {
 	}
 	t.Logf("%d admitted, %d refused", n-refused, refused)
 }
+
+// TestFinishedJobKeepsNoBody: once a job's watcher has released it, the
+// job table keeps its status but not the submission body, which only a
+// re-placement of a live job reads.
+func TestFinishedJobKeepsNoBody(t *testing.T) {
+	wkr := newStubWorker(t, stubDone)
+	rt, rts := startRouter(t, Config{Policy: "fingerprint"})
+	registerWorker(t, rts.URL, wkr.ts.URL)
+
+	v := submitCluster(t, rts.URL, server.SubmitRequest{Workload: "BO", Policy: "LATTE-CC"})
+	if final := waitCluster(t, rts.URL, v.ID); final.Status != "done" {
+		t.Fatalf("job ended %s: %s", final.Status, final.Error)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Inflight() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := rt.Inflight(); got != 0 {
+		t.Fatalf("inflight=%d after the job finished", got)
+	}
+	req := httptest.NewRequest("GET", "/v1/runs/"+v.ID, nil)
+	req.SetPathValue("id", v.ID)
+	j, ok := rt.jobs.Lookup(httptest.NewRecorder(), req)
+	if !ok {
+		t.Fatalf("job %s left the table", v.ID)
+	}
+	if j.body != nil {
+		t.Errorf("finished job keeps a %d-byte body", len(j.body))
+	}
+}

@@ -113,8 +113,8 @@ type entry struct {
 // concurrently (single-flight). Because mu is declared nocalls, the
 // analyzer also proves no function call (and hence no simulation, no
 // Reporter callback, no Store I/O) ever runs with mu held. Jobs,
-// Reporter, and Store are configuration: set them before the first
-// Run/RunAll and leave them alone afterwards.
+// Reporter, Store and Slots are configuration: set them before the
+// first Run/RunAll and leave them alone afterwards.
 type Suite struct {
 	cfg sim.Config
 
@@ -132,6 +132,13 @@ type Suite struct {
 	// per-key access), so a slow disk or peer fetch never blocks other
 	// keys.
 	Store Store
+	// Slots, when non-nil, bounds how many simulations run at once: a
+	// run holds one slot (a send) only around its leaf simulation, after
+	// a memory and a store miss, and never while it waits on another
+	// key, so Kernel-OPT's recursion into its statics runs at one slot.
+	// Once a run has claimed its key the wait is not interruptible, like
+	// the simulation it precedes. Suites may share one channel.
+	Slots chan struct{}
 
 	fp uint64 // cfg.Fingerprint(), precomputed for store keys
 
@@ -166,6 +173,7 @@ func (s *Suite) child(cfg sim.Config) *Suite {
 	c.Jobs = s.Jobs
 	c.Reporter = s.Reporter
 	c.Store = s.Store
+	c.Slots = s.Slots
 	return c
 }
 
@@ -274,13 +282,15 @@ func factoryFor(cfg *sim.Config, p Policy, schedule []modes.Mode) (sim.Controlle
 // that result is ready (errors are cached alongside results — the
 // failure modes here are deterministic, so retrying cannot help).
 func (s *Suite) Run(workloadName string, p Policy, v Variant) (sim.Result, error) {
-	res, _, err := s.run(workloadName, p, v)
+	res, _, err := s.run(workloadName, p, v, nil)
 	return res, err
 }
 
 // run is Run, also reporting whether the in-memory cache served the
-// call — exactly the calls CacheHits counts.
-func (s *Suite) run(workloadName string, p Policy, v Variant) (sim.Result, bool, error) {
+// call — exactly the calls CacheHits counts. wait, when non-nil, is
+// told when the call, or a Kernel-OPT static it claims, starts (true)
+// and stops (false) waiting for a slot.
+func (s *Suite) run(workloadName string, p Policy, v Variant, wait func(bool)) (sim.Result, bool, error) {
 	k := key{workload: workloadName, policy: p, variant: v}
 	s.mu.Lock()
 	if e, ok := s.results[k]; ok {
@@ -306,7 +316,7 @@ func (s *Suite) run(workloadName string, p Policy, v Variant) (sim.Result, bool,
 		}
 	}
 
-	e.res, e.err = s.simulate(workloadName, p, v)
+	e.res, e.err = s.simulate(workloadName, p, v, wait)
 	if e.err == nil {
 		s.sims.Add(1)
 		if st := s.Store; st != nil {
@@ -349,10 +359,11 @@ func recoverSim(err *error) {
 	}
 }
 
-// simulate executes one uncached run. It holds no locks: Kernel-OPT
-// recurses into Run for its three static prerequisites, which either
-// join in-flight simulations or execute inline on this goroutine.
-func (s *Suite) simulate(workloadName string, p Policy, v Variant) (res sim.Result, err error) {
+// simulate executes one uncached run. It holds no locks and no slot:
+// Kernel-OPT recurses into run for its three static prerequisites,
+// which either join in-flight simulations or execute inline on this
+// goroutine, each taking its own slot.
+func (s *Suite) simulate(workloadName string, p Policy, v Variant, wait func(bool)) (res sim.Result, err error) {
 	defer recoverSim(&err)
 	w, err := workload.ByName(workloadName)
 	if err != nil {
@@ -366,10 +377,35 @@ func (s *Suite) simulate(workloadName string, p Policy, v Variant) (res sim.Resu
 	if v.SampleSeries {
 		cfg.SampleEvery = 512
 	}
-	if p == KernelOpt {
-		return kernelOpt(cfg, w, func(st Policy) (sim.Result, error) { return s.Run(workloadName, st, v) })
+	leaf := func(p Policy, schedule []modes.Mode) (sim.Result, error) {
+		if s.Slots != nil {
+			s.takeSlot(wait)
+			defer func() { <-s.Slots }()
+		}
+		return simulateOn(cfg, w, p, schedule)
 	}
-	return simulateOn(cfg, w, p, nil)
+	if p == KernelOpt {
+		return kernelOpt(func(st Policy) (sim.Result, error) {
+			res, _, err := s.run(workloadName, st, v, wait)
+			return res, err
+		}, leaf)
+	}
+	return leaf(p, nil)
+}
+
+// takeSlot blocks until s.Slots has room and takes one slot, telling
+// wait (when non-nil) if it had to wait.
+func (s *Suite) takeSlot(wait func(bool)) {
+	select {
+	case s.Slots <- struct{}{}:
+		return
+	default:
+	}
+	if wait != nil {
+		wait(true)
+		defer wait(false)
+	}
+	s.Slots <- struct{}{}
 }
 
 // simulateOn runs w under p on cfg, uncached; schedule is Kernel-OPT's
@@ -384,12 +420,12 @@ func simulateOn(cfg sim.Config, w trace.Workload, p Policy, schedule []modes.Mod
 	return res, nil
 }
 
-// kernelOpt runs w under Kernel-OPT on cfg, reading the three static
-// runs through run. When every kernel picks the same mode, Kernel-OPT
-// is that mode's static policy — policy.NewStatic is a one-mode
-// policy.Scheduled — so the static run, copied and relabelled, is the
-// result and nothing is simulated. A mixed schedule is simulated.
-func kernelOpt(cfg sim.Config, w trace.Workload, run func(Policy) (sim.Result, error)) (sim.Result, error) {
+// kernelOpt runs Kernel-OPT, reading the three static runs through run.
+// When every kernel picks the same mode, Kernel-OPT is that mode's
+// static policy — policy.NewStatic is a one-mode policy.Scheduled — so
+// the static run, copied and relabelled, is the result and nothing is
+// simulated. A mixed schedule is simulated through leaf.
+func kernelOpt(run func(Policy) (sim.Result, error), leaf func(Policy, []modes.Mode) (sim.Result, error)) (sim.Result, error) {
 	schedule, same, err := oracleSchedule(run)
 	if err != nil {
 		return sim.Result{}, err
@@ -399,7 +435,7 @@ func kernelOpt(cfg sim.Config, w trace.Workload, run func(Policy) (sim.Result, e
 		res.Policy = string(KernelOpt)
 		return res, nil
 	}
-	return simulateOn(cfg, w, KernelOpt, schedule)
+	return leaf(KernelOpt, schedule)
 }
 
 // MustRun is Run, panicking on error (tests, where the workload/policy
@@ -485,10 +521,11 @@ func (s *Suite) MissReduction(workloadName string, p Policy) (float64, error) {
 // Kernel-OPT is supported: the three static runs execute first.
 func RunWorkload(cfg sim.Config, w trace.Workload, p Policy) (res sim.Result, err error) {
 	defer recoverSim(&err)
+	leaf := func(p Policy, schedule []modes.Mode) (sim.Result, error) { return simulateOn(cfg, w, p, schedule) }
 	if p == KernelOpt {
-		return kernelOpt(cfg, w, func(st Policy) (sim.Result, error) { return simulateOn(cfg, w, st, nil) })
+		return kernelOpt(func(st Policy) (sim.Result, error) { return leaf(st, nil) }, leaf)
 	}
-	return simulateOn(cfg, w, p, nil)
+	return leaf(p, nil)
 }
 
 // ReplayTrace replays a recorded L1 access trace through cfg's

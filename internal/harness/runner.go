@@ -101,15 +101,29 @@ func RunAllSuites(jobs int, suites ...*Suite) error {
 // in-memory cache served the call (a completed entry or a single-flight
 // join), i.e. when CacheHits counts it. Cancellation is dispatch-level:
 // once ctx is done no further request starts and requests never started
-// get no callback, but a simulation already in flight runs to
-// completion (the cycle loop is not interruptible — determinism would
-// otherwise depend on when the cancel landed).
+// get no callback, but a request already started runs to completion,
+// its wait for a slot included (the cycle loop is not interruptible —
+// determinism would otherwise depend on when the cancel landed). A
+// wait function carried by ctx (WithSlotWait) observes the batch's
+// slot waits.
 func (s *Suite) RunBatch(ctx context.Context, jobs int, reqs []RunRequest, done func(i int, res sim.Result, cached bool, err error)) {
+	wait, _ := ctx.Value(slotWaitKey{}).(func(bool))
 	forEach(ctx, jobs, len(reqs), func(i int) {
 		r := reqs[i]
-		res, cached, err := s.run(r.Workload, r.Policy, r.Variant)
+		res, cached, err := s.run(r.Workload, r.Policy, r.Variant, wait)
 		done(i, res, cached, err)
 	})
+}
+
+type slotWaitKey struct{}
+
+// WithSlotWait returns a copy of ctx carrying wait, which RunBatch calls
+// with true when one of its requests starts waiting for a slot
+// (Suite.Slots) and with false when that request has one. Calls for
+// different requests may overlap, so wait must be safe for concurrent
+// use. Like httptrace.WithClientTrace, it observes and changes nothing.
+func WithSlotWait(ctx context.Context, wait func(waiting bool)) context.Context {
+	return context.WithValue(ctx, slotWaitKey{}, wait)
 }
 
 // forEach is the harness's one worker pool: it calls work(i) for every

@@ -199,9 +199,11 @@ type SubmitResponse struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// LoadStatus is the GET /v1/load response: the admission-queue and
-// worker-pool occupancy the cluster router's health checker polls, and
-// the least-loaded routing policy weighs.
+// LoadStatus is the GET /v1/load response the cluster router's health
+// checker polls and the least-loaded routing policy weighs. Queued
+// counts the jobs with a run waiting for a simulation slot, Running the
+// other admitted, unfinished jobs; QueueCapacity is the configured
+// QueueDepth.
 type LoadStatus struct {
 	Queued        int64 `json:"queued"`
 	Running       int64 `json:"running"`

@@ -74,7 +74,7 @@ func (m *metrics) observeRun(workload string, d time.Duration) {
 
 // snapshot values the render pass reads from the rest of the server.
 type metricsSnapshot struct {
-	queueDepth int
+	queueDepth int64 // jobs with a run waiting for a slot
 	suites     int
 	fresh      uint64 // sum of Suite.Simulations() over all suites
 	cacheHits  uint64 // sum of Suite.CacheHits() over all suites
@@ -93,7 +93,7 @@ type metricsSnapshot struct {
 // write renders the registry in Prometheus text format. Workloads are
 // emitted in sorted order so scrapes are byte-stable for tests.
 func (m *metrics) write(w io.Writer, snap metricsSnapshot) {
-	WriteMetric(w, "counter", "latteccd_jobs_accepted_total", "Jobs admitted to the queue.", m.jobsAccepted.Load())
+	WriteMetric(w, "counter", "latteccd_jobs_accepted_total", "Jobs admitted.", m.jobsAccepted.Load())
 	WriteMetric(w, "counter", "latteccd_jobs_completed_total", "Jobs that finished with results.", m.jobsCompleted.Load())
 	WriteMetric(w, "counter", "latteccd_jobs_failed_total", "Jobs that ended in an error (bad run, deadline).", m.jobsFailed.Load())
 
@@ -103,7 +103,7 @@ func (m *metrics) write(w io.Writer, snap metricsSnapshot) {
 	fmt.Fprintf(w, "latteccd_jobs_rejected_total{reason=\"draining\"} %d\n", snap.gate.Refused())
 	fmt.Fprintf(w, "latteccd_jobs_rejected_total{reason=\"invalid\"} %d\n", m.rejectedInvalid.Load())
 
-	WriteMetric(w, "gauge", "latteccd_queue_depth", "Jobs waiting for a worker.", snap.queueDepth)
+	WriteMetric(w, "gauge", "latteccd_queue_depth", "Jobs with a run waiting for a simulation slot.", snap.queueDepth)
 	WriteMetric(w, "gauge", "latteccd_suites", "Resident suites (one per distinct machine config).", snap.suites)
 	drain := 0
 	if snap.gate.Draining() {

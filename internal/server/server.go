@@ -22,9 +22,13 @@
 // same StateHash as a direct Suite.MustRun for the same (workload,
 // policy, variant, config). The daemon only ever layers scheduling
 // around the harness's single-flight cache — it never touches what is
-// computed. Each job runs exactly its own request list, once per
-// request, through Suite.RunBatch under the job's deadline; a job that
-// times out leaves nothing behind for later jobs.
+// computed. An admitted job starts at once on its own goroutine and runs
+// exactly its own request list, once per request, through
+// Suite.RunBatch under the job's deadline; a job that times out leaves
+// nothing behind for later jobs. Workers bounds simulations, not jobs:
+// one slot channel shared by every resident suite admits Workers×RunJobs
+// leaf simulations at once, so a job the store or a resident suite can
+// answer never waits behind one.
 package server
 
 import (
@@ -47,16 +51,19 @@ type Config struct {
 	// BaseConfig is the machine every job starts from, before request
 	// overrides. Typically sim.DefaultConfig().
 	BaseConfig sim.Config
-	// Workers is how many jobs execute concurrently (default 2).
+	// Workers×RunJobs is how many simulations run at once across every
+	// resident suite (Workers default 2); store loads and cache hits
+	// take no slot.
 	Workers int
 	// RunJobs bounds each job's simulation pool width: the width of
 	// its Suite.RunBatch (<= 0 means GOMAXPROCS).
 	RunJobs int
-	// QueueDepth bounds the admission queue; a full queue answers 429
-	// with Retry-After (default 64).
+	// Workers+QueueDepth bounds the admitted, unfinished jobs; one more
+	// submission answers 429 with Retry-After (QueueDepth default 64).
 	QueueDepth int
 	// DefaultDeadline applies to jobs that do not carry their own
-	// deadline_ms (default 5 minutes).
+	// deadline_ms (default 5 minutes). A deadline runs from admission,
+	// so it also bounds the job's waits for slots.
 	DefaultDeadline time.Duration
 
 	// Store, when non-nil, is the persistent result tier attached to
@@ -70,13 +77,13 @@ type Config struct {
 	Peers func() []string
 
 	// startHook, when set (tests only), runs at the top of every job
-	// execution — the seam that lets tests hold a worker in place.
+	// execution — the seam that lets tests hold a job in place.
 	startHook func(*Job)
 }
 
-// Server is the daemon: admission queue, worker pool, resident suites,
-// and the HTTP surface. Create with New, serve Handler(), stop with
-// Shutdown.
+// Server is the daemon: admission bound, simulation slots, resident
+// suites, and the HTTP surface. Create with New, serve Handler(), stop
+// with Shutdown.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
@@ -92,22 +99,18 @@ type Server struct {
 	workloads map[string]bool
 	policies  map[harness.Policy]bool
 
-	queue   chan queued
-	running atomic.Int64
-	wg      sync.WaitGroup
+	// admitted holds one token per admitted, unfinished job; its
+	// capacity, Workers+QueueDepth, is the admission bound.
+	admitted chan struct{}
+	// slots is every resident suite's Suite.Slots: Workers×RunJobs.
+	slots chan struct{}
+	// waiting counts the jobs with a run waiting for a slot.
+	waiting atomic.Int64
+	wg      sync.WaitGroup // one per admitted, unfinished job
 }
 
-// queued is an admitted job on its way to a worker, with the machine its
-// suite is keyed on. The suite is resolved only when a worker starts the
-// job, so a refused submission leaves none, and the job kept in the
-// table holds no config copy.
-type queued struct {
-	job *Job
-	cfg sim.Config
-}
-
-// New builds a Server and starts its workers. The returned server is
-// ready to serve; wire Handler() into an http.Server.
+// New builds a Server. The returned server is ready to serve; wire
+// Handler() into an http.Server.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -130,7 +133,8 @@ func New(cfg Config) *Server {
 		suites:    map[uint64]*harness.Suite{},
 		workloads: map[string]bool{},
 		policies:  map[harness.Policy]bool{},
-		queue:     make(chan queued, cfg.QueueDepth),
+		admitted:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		slots:     make(chan struct{}, cfg.Workers*cfg.RunJobs),
 	}
 	for _, w := range harness.Workloads() {
 		s.workloads[w] = true
@@ -149,11 +153,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/load", s.handleLoad)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.gate.HandleProbes(s.mux)
-
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -161,49 +160,41 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Shutdown gracefully drains the daemon: new submissions are rejected
-// with 503 immediately, jobs already queued or running complete, and
-// Shutdown returns once every worker has exited — or ctx's deadline
-// fires first, in which case the drain is reported incomplete. Safe to
-// call more than once.
+// with 503 immediately, every admitted job completes, and Shutdown
+// returns once the last one has — or ctx's deadline fires first, in
+// which case the drain is reported incomplete. Safe to call more than
+// once.
 func (s *Server) Shutdown(ctx context.Context) error { return s.gate.Drain(ctx, &s.wg) }
 
-// worker executes jobs until shutdown, then drains whatever is still
-// queued and exits.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case q := <-s.queue:
-			s.execute(q.job, q.cfg)
-		case <-s.gate.Done():
-			for {
-				select {
-				case q := <-s.queue:
-					s.execute(q.job, q.cfg)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// execute runs one job on cfg's resident suite: exactly its own request
-// list, each once, through the harness pool under the job's deadline.
+// execute runs one admitted job on its own goroutine, on cfg's resident
+// suite: exactly its own request list, each once, through the harness
+// pool under the job's deadline. The suite is resolved only here, so a
+// refused submission leaves none. It returns the job's admission token.
 func (s *Server) execute(j *Job, cfg sim.Config) {
-	s.running.Add(1)
-	defer s.running.Add(-1)
+	defer s.wg.Done()
+	defer func() { <-s.admitted }()
+	// The deadline runs from admission: the clock starts before
+	// anything else this goroutine does.
+	ctx, cancel := context.WithTimeout(context.Background(), j.deadline)
+	defer cancel()
 	if h := s.cfg.startHook; h != nil {
 		h(j)
 	}
 	j.setRunning()
 	suite := s.suiteFor(cfg)
 
-	ctx, cancel := context.WithTimeout(context.Background(), j.deadline)
-	defer cancel()
 	if fault.Hit("server.cancel-run") {
 		cancel() // injected fault: the deadline fires before any run starts
 	}
+	var runsWaiting atomic.Int64
+	ctx = harness.WithSlotWait(ctx, func(waiting bool) {
+		switch {
+		case waiting && runsWaiting.Add(1) == 1:
+			s.waiting.Add(1)
+		case !waiting && runsWaiting.Add(-1) == 0:
+			s.waiting.Add(-1)
+		}
+	})
 
 	results := make([]RunResult, len(j.reqs))
 	errs := make([]error, len(j.reqs))
@@ -274,6 +265,7 @@ func (s *Server) suiteFor(cfg sim.Config) *harness.Suite {
 		return st
 	}
 	st := harness.NewSuite(cfg)
+	st.Slots = s.slots
 	if s.store != nil {
 		// Guarded assignment: a nil *tieredStore inside a non-nil
 		// harness.Store interface would defeat the suite's nil check.
@@ -321,11 +313,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 
-	job := newJob(s.jobs.Mint(), reqs, cfg.Fingerprint(), deadline)
 	accepted := false
 	if !fault.Hit("server.queue-overflow") { // injected fault: behave as if the queue were full
 		select {
-		case s.queue <- queued{job, cfg}:
+		case s.admitted <- struct{}{}:
 			accepted = true
 		default:
 		}
@@ -336,8 +327,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteJSONError(w, http.StatusTooManyRequests, "job queue full")
 		return
 	}
-	// Filed only once queued: no one can ask for the ID before the 202.
+	job := newJob(s.jobs.Mint(), reqs, cfg.Fingerprint(), deadline)
+	// Filed only once admitted: no one can ask for the ID before the 202.
 	s.jobs.Put(job.id, job)
+	s.wg.Add(1) // under the gate's read half, so never behind a drain
+	go s.execute(job, cfg)
 
 	s.metrics.jobsAccepted.Add(1)
 	w.WriteHeader(http.StatusAccepted)
@@ -387,21 +381,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// occupancy splits the admitted, unfinished jobs into those with a run
+// waiting for a slot (queued) and the rest (running).
+func (s *Server) occupancy() (queued, running int64) {
+	queued = s.waiting.Load()
+	unfinished := int64(len(s.admitted))
+	queued = min(queued, unfinished) // a job may have finished between the reads
+	return queued, unfinished - queued
+}
+
 // handleLoad answers the cluster router's health/load probe: how much
 // work this worker holds and whether it is draining. Cheap by design —
 // the router polls it once per health interval per worker.
 func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request) {
+	queued, running := s.occupancy()
 	WriteJSON(w, LoadStatus{
-		Queued:        int64(len(s.queue)),
-		Running:       s.running.Load(),
-		QueueCapacity: int64(cap(s.queue)),
+		Queued:        queued,
+		Running:       running,
+		QueueCapacity: int64(s.cfg.QueueDepth),
 		Draining:      s.gate.Draining(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	queued, _ := s.occupancy()
 	snap := metricsSnapshot{
-		queueDepth: len(s.queue),
+		queueDepth: queued,
 		gate:       s.gate,
 	}
 	s.mu.Lock()

@@ -22,18 +22,17 @@ import (
 // Gate is a daemon's admission fence. Submissions run under the read
 // half of admit; Drain flips draining under the write half, so once it
 // returns from the flip no submission can still be on its way into the
-// daemon's queue or watcher set behind the drain.
+// daemon's job set or watcher set behind the drain.
 type Gate struct {
 	name     string // "server" or "router": prefixes refusals and drain errors
 	admit    sync.RWMutex
 	draining atomic.Bool
-	done     chan struct{} // closed when draining starts
 	refused  atomic.Uint64 // submissions answered 503 because draining
 }
 
 // NewGate returns an open gate.
 func NewGate(name string) *Gate {
-	return &Gate{name: name, done: make(chan struct{})}
+	return &Gate{name: name}
 }
 
 // Admit wraps a submission handler: it runs h under the read half of
@@ -55,9 +54,6 @@ func (g *Gate) Admit(h http.HandlerFunc) http.HandlerFunc {
 // Draining reports whether the gate has closed.
 func (g *Gate) Draining() bool { return g.draining.Load() }
 
-// Done is closed when the gate closes.
-func (g *Gate) Done() <-chan struct{} { return g.done }
-
 // Refused counts the submissions the closed gate turned away.
 func (g *Gate) Refused() uint64 { return g.refused.Load() }
 
@@ -66,9 +62,7 @@ func (g *Gate) Refused() uint64 { return g.refused.Load() }
 // call more than once.
 func (g *Gate) Drain(ctx context.Context, wg *sync.WaitGroup) error {
 	g.admit.Lock()
-	if g.draining.CompareAndSwap(false, true) {
-		close(g.done)
-	}
+	g.draining.Store(true)
 	g.admit.Unlock()
 
 	done := make(chan struct{})
