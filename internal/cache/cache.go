@@ -72,26 +72,14 @@ type Config struct {
 	DecompBufferEntries int
 }
 
-// FreshCodecs returns a new codec array matching c.Codecs, so each
-// cache gets independent SC state. Stateless codecs could be shared,
-// but SC carries a VFT and code book per cache.
+// FreshCodecs returns c.Codecs with a new SC in place of each SC, so
+// each cache trains its own VFT and code book. The stateless codecs are
+// shared.
 func (c Config) FreshCodecs() [modes.NumModes]compress.Codec {
-	var out [modes.NumModes]compress.Codec
-	for m, codec := range c.Codecs {
-		switch codec.(type) {
-		case nil:
-		case *compress.SC:
+	out := c.Codecs
+	for m, codec := range out {
+		if _, ok := codec.(*compress.SC); ok {
 			out[m] = compress.NewSC()
-		case *compress.BDI:
-			out[m] = compress.NewBDI()
-		case *compress.BPC:
-			out[m] = compress.NewBPC()
-		case *compress.FPC:
-			out[m] = compress.NewFPC()
-		case *compress.CPACK:
-			out[m] = compress.NewCPACK()
-		default:
-			out[m] = codec
 		}
 	}
 	return out
@@ -509,7 +497,7 @@ func (c *Cache) Fill(addr uint64, src LineSource, now uint64) modes.Mode {
 
 	// Make room: need a free tag and sub sub-blocks.
 	for !c.hasRoom(s, sub) {
-		if !c.evictLRU(s) {
+		if !c.evictLRU(s, -1) {
 			fillNoRoom()
 		}
 	}
@@ -647,12 +635,13 @@ func (c *Cache) hasRoom(s *set, sub int) bool {
 	return s.freeSub >= sub && s.find(invalidTag) >= 0
 }
 
-// evictLRU removes the least recently used valid line from the set.
-func (c *Cache) evictLRU(s *set) bool {
+// evictLRU evicts the least recently used valid line of the set other
+// than entry keep (-1 keeps none). It reports false if there is none.
+func (c *Cache) evictLRU(s *set, keep int) bool {
 	victim := -1
 	oldest := ^uint64(0)
 	for i := range s.lines {
-		if s.lines[i].valid && s.lines[i].lru < oldest {
+		if i != keep && s.lines[i].valid && s.lines[i].lru < oldest {
 			oldest = s.lines[i].lru
 			victim = i
 		}
@@ -732,7 +721,7 @@ func (c *Cache) WriteTouch(addr uint64, now uint64) {
 	l := &s.lines[i]
 	grow := c.subBlocksPerLine() - int(l.subBlocks)
 	for s.freeSub < grow {
-		if !c.evictLRUExcept(s, i) {
+		if !c.evictLRU(s, i) {
 			// Nothing else to evict: drop the written line itself
 			// (write-no-allocate fallback).
 			c.drop(s, i)
@@ -744,28 +733,6 @@ func (c *Cache) WriteTouch(addr uint64, now uint64) {
 	l.mode = modes.None
 	l.subBlocks = uint16(c.subBlocksPerLine())
 	c.stats.WriteExpansions++
-}
-
-// evictLRUExcept evicts the least recently used valid line other than
-// the keep index.
-func (c *Cache) evictLRUExcept(s *set, keep int) bool {
-	victim := -1
-	oldest := ^uint64(0)
-	for i := range s.lines {
-		if i == keep {
-			continue
-		}
-		if s.lines[i].valid && s.lines[i].lru < oldest {
-			oldest = s.lines[i].lru
-			victim = i
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	c.drop(s, victim)
-	c.stats.Evictions++
-	return true
 }
 
 // TrainsHighCap reports whether the high-capacity codec learns from

@@ -100,41 +100,38 @@ func bdiEncodedSize(e bdiEncoding) int {
 	}
 }
 
-// Compress implements Codec.
+// Compress implements Codec: it writes the stream of the encoding
+// bdiChoose picks, a one-byte encoding id and then the payload.
 func (*BDI) Compress(line []byte) Encoded {
-	checkLine(line)
-	enc, payload := bdiCompress(line)
-	data := append([]byte{byte(enc)}, payload...)
-	return Encoded{
-		Data: data,
-		Size: bdiEncodedSize(enc),
-		Raw:  enc == bdiRaw,
-	}
+	e := bdiChoose(line)
+	enc := sized(bdiEncodedSize(e))
+	enc.Data = bdiStream(line, e)
+	return enc
 }
 
-// Measure implements Codec: it picks the same encoding Compress would
-// (bdiChoose shares the selection logic) but never builds a payload.
+// Measure implements Codec: the encoding Compress would write, without
+// its stream.
 //
 //lint:hotpath
 func (*BDI) Measure(line []byte) Encoded {
-	checkLine(line)
-	e := bdiChoose(line)
-	return Encoded{Size: bdiEncodedSize(e), Raw: e == bdiRaw}
+	return sized(bdiEncodedSize(bdiChoose(line)))
 }
 
 // bdiTryOrder lists the base+delta encodings from smallest stored size
-// to largest — the preference order of both Compress and Measure. A
-// package-level array (not a slice) so ranging over it never allocates.
+// to largest, the preference order of bdiChoose. A package-level array
+// (not a slice) so ranging over it never allocates.
 var bdiTryOrder = [...]bdiEncoding{bdiB2D1, bdiB4D1, bdiB8D1, bdiB4D2, bdiB8D2, bdiB8D4}
 
-// bdiChoose returns the encoding bdiCompress would pick, allocation-free.
+// bdiChoose returns the smallest encoding that fits the line: the one
+// decision behind both Compress and Measure.
 //
 //lint:hotpath
 func bdiChoose(line []byte) bdiEncoding {
+	checkLine(line)
 	if isZeroLine(line) {
 		return bdiZeros
 	}
-	if _, ok := bdiRepeated8(line); ok {
+	if bdiRepeated8(line) {
 		return bdiRep8
 	}
 	best := bdiRaw
@@ -149,22 +146,15 @@ func bdiChoose(line []byte) bdiEncoding {
 	return best
 }
 
-// bdiFitsBaseDelta reports whether bdiTryBaseDelta would succeed for e,
-// using the same base selection but no payload materialisation.
+// bdiFitsBaseDelta reports whether every block of the line is a delta
+// of e's width from bdiBase or from zero.
 //
 //lint:hotpath
 func bdiFitsBaseDelta(line []byte, e bdiEncoding) bool {
 	baseSz, deltaSz := e.params()
-	n := LineSize / baseSz
 	deltaBits := uint(deltaSz * 8)
-	base := bdiReadBlock(line, baseSz)
-	for i := 0; i < n; i++ {
-		if b := bdiReadBlock(line[i*baseSz:], baseSz); !fitsSigned(b, deltaBits) {
-			base = b
-			break
-		}
-	}
-	for i := 0; i < n; i++ {
+	base := bdiBase(line, baseSz, deltaBits)
+	for i := 0; i < LineSize/baseSz; i++ {
 		b := bdiReadBlock(line[i*baseSz:], baseSz)
 		if !fitsSigned(b-base, deltaBits) && !fitsSigned(b, deltaBits) {
 			return false
@@ -173,87 +163,61 @@ func bdiFitsBaseDelta(line []byte, e bdiEncoding) bool {
 	return true
 }
 
-// bdiCompress picks the smallest applicable encoding and returns it with
-// its payload (excluding the encoding-id header byte).
-func bdiCompress(line []byte) (bdiEncoding, []byte) {
-	if isZeroLine(line) {
-		return bdiZeros, nil
-	}
-	if rep, ok := bdiRepeated8(line); ok {
-		payload := make([]byte, 8)
-		binary.LittleEndian.PutUint64(payload, rep)
-		return bdiRep8, payload
-	}
-	// Try encodings from smallest stored size to largest.
-	best := bdiRaw
-	bestSize := LineSize
-	var bestPayload []byte
-	for _, e := range bdiTryOrder {
-		if payload, ok := bdiTryBaseDelta(line, e); ok {
-			if size := bdiEncodedSize(e); size < bestSize {
-				best, bestSize, bestPayload = e, size, payload
-			}
+// bdiBase returns the base of a base+delta encoding. The hardware uses
+// the first block that does not fit the delta width: blocks that do are
+// encoded as deltas from zero, so the base should be the first "large"
+// value. A line of small blocks takes its first block.
+func bdiBase(line []byte, baseSz int, deltaBits uint) int64 {
+	for i := 0; i < LineSize/baseSz; i++ {
+		if b := bdiReadBlock(line[i*baseSz:], baseSz); !fitsSigned(b, deltaBits) {
+			return b
 		}
 	}
-	if best == bdiRaw {
-		return bdiRaw, append([]byte(nil), line...)
+	return bdiReadBlock(line, baseSz)
+}
+
+// bdiStream returns the stream of encoding e, which must fit the line.
+// A base+delta payload is: base value (base bytes) | mask ((n+7)/8
+// bytes) | n deltas (delta bytes each, little-endian, sign-extended on
+// decode). Mask bit i set means block i is a delta from the base; clear
+// means a delta from zero (immediate).
+func bdiStream(line []byte, e bdiEncoding) []byte {
+	data := []byte{byte(e)}
+	switch e {
+	case bdiZeros:
+		return data
+	case bdiRep8:
+		return append(data, line[:8]...)
+	case bdiRaw:
+		return append(data, line...)
 	}
-	return best, bestPayload
+	baseSz, deltaSz := e.params()
+	n := LineSize / baseSz
+	deltaBits := uint(deltaSz * 8)
+	base := bdiBase(line, baseSz, deltaBits)
+	data = appendIntLE(data, base, baseSz)
+	mask := len(data)
+	data = append(data, make([]byte, (n+7)/8)...)
+	for i := 0; i < n; i++ {
+		d := bdiReadBlock(line[i*baseSz:], baseSz)
+		if fitsSigned(d-base, deltaBits) {
+			data[mask+i/8] |= 1 << (i % 8)
+			d -= base
+		}
+		data = appendIntLE(data, d, deltaSz)
+	}
+	return data
 }
 
 // bdiRepeated8 reports whether the line is one repeated 8-byte value.
-func bdiRepeated8(line []byte) (uint64, bool) {
+func bdiRepeated8(line []byte) bool {
 	v := binary.LittleEndian.Uint64(line)
 	for off := 8; off < LineSize; off += 8 {
 		if binary.LittleEndian.Uint64(line[off:]) != v {
-			return 0, false
+			return false
 		}
 	}
-	return v, true
-}
-
-// bdiTryBaseDelta attempts one base+delta encoding. The payload layout is:
-// base value (base bytes) | mask ((n+7)/8 bytes) | n deltas (delta bytes
-// each, little-endian, sign-extended on decode). Mask bit i set means block
-// i is a delta from the base; clear means a delta from zero (immediate).
-func bdiTryBaseDelta(line []byte, e bdiEncoding) ([]byte, bool) {
-	baseSz, deltaSz := e.params()
-	n := LineSize / baseSz
-	blocks := make([]int64, n)
-	for i := 0; i < n; i++ {
-		blocks[i] = bdiReadBlock(line[i*baseSz:], baseSz)
-	}
-	// The hardware uses the first non-immediate block as the base: blocks
-	// that already fit in the delta width are encoded as deltas from zero,
-	// so the base should be the first "large" value.
-	deltaBits := uint(deltaSz * 8)
-	base := blocks[0]
-	for _, b := range blocks {
-		if !fitsSigned(b, deltaBits) {
-			base = b
-			break
-		}
-	}
-	mask := make([]byte, (n+7)/8)
-	deltas := make([]int64, n)
-	for i, b := range blocks {
-		switch {
-		case fitsSigned(b-base, deltaBits):
-			mask[i/8] |= 1 << (i % 8)
-			deltas[i] = b - base
-		case fitsSigned(b, deltaBits):
-			deltas[i] = b // immediate: delta from zero
-		default:
-			return nil, false
-		}
-	}
-	payload := make([]byte, 0, baseSz+len(mask)+n*deltaSz)
-	payload = appendIntLE(payload, base, baseSz)
-	payload = append(payload, mask...)
-	for _, d := range deltas {
-		payload = appendIntLE(payload, d, deltaSz)
-	}
-	return payload, true
+	return true
 }
 
 // bdiReadBlock reads a little-endian block of 2, 4, or 8 bytes as a signed

@@ -78,16 +78,10 @@ func bpcUnplanes(base uint32, planes [bpcNumPlanes]uint64) [WordsPerLine]uint32 
 
 // Compress implements Codec.
 func (*BPC) Compress(line []byte) Encoded {
-	checkLine(line)
 	var w bitWriter
-	bpcEncodeLine(line, &w)
-	size := w.SizeBytes()
-	raw := false
-	if size >= LineSize {
-		size = LineSize
-		raw = true
-	}
-	return Encoded{Data: w.Bytes(), Size: size, Raw: raw}
+	enc := bpcEncodeLine(line, &w)
+	enc.Data = w.buf
+	return enc
 }
 
 // Measure implements Codec: the same encode core against a counting
@@ -95,22 +89,16 @@ func (*BPC) Compress(line []byte) Encoded {
 //
 //lint:hotpath
 func (*BPC) Measure(line []byte) Encoded {
-	checkLine(line)
 	w := bitWriter{countOnly: true}
-	bpcEncodeLine(line, &w)
-	size := w.SizeBytes()
-	raw := false
-	if size >= LineSize {
-		size = LineSize
-		raw = true
-	}
-	return Encoded{Size: size, Raw: raw}
+	return bpcEncodeLine(line, &w)
 }
 
-// bpcEncodeLine is the shared encode core behind Compress and Measure.
+// bpcEncodeLine is the shared encode core behind Compress and Measure:
+// it writes the line's stream to w and returns its size.
 //
 //lint:hotpath
-func bpcEncodeLine(line []byte, w *bitWriter) {
+func bpcEncodeLine(line []byte, w *bitWriter) Encoded {
+	checkLine(line)
 	words := words32(line)
 	base, dbp := bpcPlanes(words)
 
@@ -158,6 +146,7 @@ func bpcEncodeLine(line []byte, w *bitWriter) {
 		}
 		k--
 	}
+	return sized(w.SizeBytes())
 }
 
 // bpcTwoConsecOnes returns the bit position of the lower of exactly two

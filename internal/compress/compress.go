@@ -43,10 +43,9 @@ type Codec interface {
 	DecompLatency() int
 
 	// Compress encodes line (which must be LineSize bytes) and returns the
-	// encoded form. If the line is incompressible under this algorithm the
-	// codec returns the line stored verbatim (compressed size == LineSize
-	// plus any unavoidable header); CompressedSize reports the size that
-	// the cache should account for.
+	// encoded form. A line whose encoding would take LineSize bytes or
+	// more is reported Raw at Size LineSize; Encoded.Size is the size the
+	// cache accounts for, whatever the length of the software stream.
 	Compress(line []byte) Encoded
 
 	// Decompress decodes an Encoded value produced by this codec and
@@ -138,6 +137,15 @@ func putWords32(w [WordsPerLine]uint32) []byte {
 	return out
 }
 
+// sized is the size rule every codec reports by: an encoding of n
+// accounted bytes is stored raw, at LineSize, once n reaches LineSize.
+func sized(n int) Encoded {
+	if n >= LineSize {
+		return Encoded{Size: LineSize, Raw: true}
+	}
+	return Encoded{Size: n}
+}
+
 // isZeroLine reports whether every byte of the line is zero.
 func isZeroLine(line []byte) bool {
 	for _, b := range line {
@@ -150,9 +158,10 @@ func isZeroLine(line []byte) bool {
 
 // bitWriter packs bits most-significant-first into a byte stream. The codecs
 // use it to produce the exact bit counts the hardware encodings would, while
-// still emitting a decodable software stream. With countOnly set it only
-// tracks the bit count — the Measure fast path shares each codec's encode
-// core without ever touching a buffer.
+// still emitting a decodable software stream in buf (its final partial
+// byte zero-padded). With countOnly set it only tracks the bit count —
+// the Measure fast path shares each codec's encode core without ever
+// touching a buffer.
 type bitWriter struct {
 	buf       []byte
 	nbit      uint
@@ -188,9 +197,6 @@ func badBitCount() {
 	//lint:allow panic-audit bit-count is a compile-time codec constant; >64 is a codec bug, not input
 	panic("compress: WriteBits n > 64")
 }
-
-// Bytes returns the packed stream (final partial byte zero-padded).
-func (w *bitWriter) Bytes() []byte { return w.buf }
 
 // SizeBytes returns the stream size rounded up to whole bytes.
 func (w *bitWriter) SizeBytes() int { return (int(w.nbit) + 7) / 8 }

@@ -214,7 +214,7 @@ func TestBDIEncodings(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			line := make([]byte, LineSize)
 			tc.fill(line)
-			enc, _ := bdiCompress(line)
+			enc := bdiEncoding(NewBDI().Compress(line).Data[0])
 			if enc != tc.want {
 				t.Fatalf("got encoding %v, want %v", enc, tc.want)
 			}
@@ -548,7 +548,7 @@ func TestHuffCanonicalDecode(t *testing.T) {
 	for _, c := range book {
 		var w bitWriter
 		w.WriteBits(c.Bits, c.Len)
-		r := bitReader{buf: w.Bytes()}
+		r := bitReader{buf: w.buf}
 		sym, err := sc.table.decodeSymbol(&r)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", c, err)
@@ -586,7 +586,7 @@ func TestBitWriterReader(t *testing.T) {
 	for _, x := range vals {
 		w.WriteBits(x.v, x.n)
 	}
-	r := bitReader{buf: w.Bytes()}
+	r := bitReader{buf: w.buf}
 	for i, x := range vals {
 		got, err := r.ReadBits(x.n)
 		if err != nil {

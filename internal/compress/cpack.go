@@ -36,21 +36,10 @@ const cpackIdxBits = 4
 
 // Compress implements Codec.
 func (*CPACK) Compress(line []byte) Encoded {
-	checkLine(line)
-	if isZeroLine(line) {
-		// Zero-line detection: a single flag, stored in the tag. Account
-		// one byte so the size stays nonzero for the sub-block math.
-		return Encoded{Data: []byte{0xFF}, Size: 1}
-	}
 	var w bitWriter
-	cpackEncode(line, &w)
-	size := w.SizeBytes() - 1 // marker byte is a software artifact
-	raw := false
-	if size >= LineSize {
-		size = LineSize
-		raw = true
-	}
-	return Encoded{Data: w.Bytes(), Size: size, Raw: raw}
+	enc := cpackEncode(line, &w)
+	enc.Data = w.buf
+	return enc
 }
 
 // Measure implements Codec: the same encode core against a counting
@@ -58,26 +47,24 @@ func (*CPACK) Compress(line []byte) Encoded {
 //
 //lint:hotpath
 func (*CPACK) Measure(line []byte) Encoded {
-	checkLine(line)
-	if isZeroLine(line) {
-		return Encoded{Size: 1}
-	}
 	w := bitWriter{countOnly: true}
-	cpackEncode(line, &w)
-	size := w.SizeBytes() - 1
-	raw := false
-	if size >= LineSize {
-		size = LineSize
-		raw = true
-	}
-	return Encoded{Size: size, Raw: raw}
+	return cpackEncode(line, &w)
 }
 
-// cpackEncode is the shared encode core behind Compress and Measure for
-// non-zero lines, including the software stream's marker byte.
+// cpackEncode is the shared encode core behind Compress and Measure: it
+// writes the line's stream to w and returns its size. The stream's
+// first byte is a software marker (0xFF for a zero line, else 0) that
+// the hardware keeps in the tag, so it is not accounted.
 //
 //lint:hotpath
-func cpackEncode(line []byte, w *bitWriter) {
+func cpackEncode(line []byte, w *bitWriter) Encoded {
+	checkLine(line)
+	if isZeroLine(line) {
+		// Zero-line detection: a single flag, stored in the tag. Account
+		// one byte so the size stays nonzero for the sub-block math.
+		w.WriteBits(0xFF, 8)
+		return sized(1)
+	}
 	words := words32(line)
 	var dict [cpackDictSize]uint32
 	dictLen := 0
@@ -120,6 +107,7 @@ func cpackEncode(line []byte, w *bitWriter) {
 			push(v)
 		}
 	}
+	return sized(w.SizeBytes() - 1)
 }
 
 // cpackFind returns the index of the first dictionary entry equal to v

@@ -65,16 +65,10 @@ func badFPCPattern() {
 
 // Compress implements Codec.
 func (*FPC) Compress(line []byte) Encoded {
-	checkLine(line)
 	var w bitWriter
-	fpcEncode(line, &w)
-	size := w.SizeBytes()
-	raw := false
-	if size >= LineSize {
-		size = LineSize
-		raw = true
-	}
-	return Encoded{Data: w.Bytes(), Size: size, Raw: raw}
+	enc := fpcEncode(line, &w)
+	enc.Data = w.buf
+	return enc
 }
 
 // Measure implements Codec: the same encode core against a counting
@@ -82,22 +76,16 @@ func (*FPC) Compress(line []byte) Encoded {
 //
 //lint:hotpath
 func (*FPC) Measure(line []byte) Encoded {
-	checkLine(line)
 	w := bitWriter{countOnly: true}
-	fpcEncode(line, &w)
-	size := w.SizeBytes()
-	raw := false
-	if size >= LineSize {
-		size = LineSize
-		raw = true
-	}
-	return Encoded{Size: size, Raw: raw}
+	return fpcEncode(line, &w)
 }
 
-// fpcEncode is the shared encode core behind Compress and Measure.
+// fpcEncode is the shared encode core behind Compress and Measure: it
+// writes the line's stream to w and returns its size.
 //
 //lint:hotpath
-func fpcEncode(line []byte, w *bitWriter) {
+func fpcEncode(line []byte, w *bitWriter) Encoded {
+	checkLine(line)
 	words := words32(line)
 	for i := 0; i < WordsPerLine; {
 		v := words[i]
@@ -116,6 +104,7 @@ func fpcEncode(line []byte, w *bitWriter) {
 		w.WriteBits(payload, fpcPayloadBits(p))
 		i++
 	}
+	return sized(w.SizeBytes())
 }
 
 // fpcMatch picks the best (smallest) pattern for a nonzero word.

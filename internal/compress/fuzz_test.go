@@ -64,7 +64,8 @@ func fuzzLine(data []byte) []byte {
 
 // FuzzRoundTrip feeds arbitrary line contents through every codec:
 // compression must succeed, report a sane size, and decompress back to
-// the exact input.
+// the exact input, and Measure must report Compress's Size, Raw and
+// Generation without a stream.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, LineSize))
@@ -82,6 +83,10 @@ func FuzzRoundTrip(f *testing.F) {
 			enc := c.Compress(line)
 			if enc.Size <= 0 || enc.Size > LineSize {
 				t.Fatalf("%s: size %d out of range", c.Name(), enc.Size)
+			}
+			if m := c.Measure(line); m.Size != enc.Size || m.Raw != enc.Raw || m.Generation != enc.Generation || m.Data != nil {
+				t.Fatalf("%s: Measure (size %d, raw %v, gen %d, %d data bytes) != Compress (size %d, raw %v, gen %d)",
+					c.Name(), m.Size, m.Raw, m.Generation, len(m.Data), enc.Size, enc.Raw, enc.Generation)
 			}
 			dec, err := c.Decompress(enc)
 			if err != nil {

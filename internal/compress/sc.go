@@ -102,28 +102,32 @@ func (s *SC) Rebuild() bool {
 
 // Compress implements Codec. Each 32-bit word is emitted as its Huffman
 // code, or as the escape code followed by a 32-bit literal when the value
-// is not in the code book.
+// is not in the code book. A raw line's Data is the line itself.
 func (s *SC) Compress(line []byte) Encoded {
 	checkLine(line)
-	if s.table == nil {
-		return Encoded{Data: append([]byte(nil), line...), Size: LineSize, Raw: true, Generation: s.generation}
-	}
+	n := LineSize
 	var w bitWriter
-	for i := 0; i < LineSize; i += 4 {
-		v := binary.LittleEndian.Uint32(line[i:])
-		if c := huffCode(s.table.lookup.get(v)); c != 0 {
-			w.WriteBits(c.bits(), c.length())
-		} else {
-			esc := s.table.escape
-			w.WriteBits(esc.bits(), esc.length())
-			w.WriteBits(uint64(v), 32)
+	if s.table != nil {
+		for i := 0; i < LineSize; i += 4 {
+			v := binary.LittleEndian.Uint32(line[i:])
+			if c := huffCode(s.table.lookup.get(v)); c != 0 {
+				w.WriteBits(c.bits(), c.length())
+			} else {
+				esc := s.table.escape
+				w.WriteBits(esc.bits(), esc.length())
+				w.WriteBits(uint64(v), 32)
+			}
 		}
+		n = w.SizeBytes()
 	}
-	size := w.SizeBytes()
-	if size >= LineSize {
-		return Encoded{Data: append([]byte(nil), line...), Size: LineSize, Raw: true, Generation: s.generation}
+	enc := sized(n)
+	enc.Generation = s.generation
+	if enc.Raw {
+		enc.Data = append([]byte(nil), line...)
+	} else {
+		enc.Data = w.buf
 	}
-	return Encoded{Data: w.Bytes(), Size: size, Generation: s.generation}
+	return enc
 }
 
 // Measure implements Codec: code-length sums from the code book, no
@@ -133,22 +137,21 @@ func (s *SC) Compress(line []byte) Encoded {
 //lint:hotpath
 func (s *SC) Measure(line []byte) Encoded {
 	checkLine(line)
-	if s.table == nil {
-		return Encoded{Size: LineSize, Raw: true, Generation: s.generation}
-	}
-	var nbit uint
-	for i := 0; i < LineSize; i += 4 {
-		if c := huffCode(s.table.lookup.get(binary.LittleEndian.Uint32(line[i:]))); c != 0 {
-			nbit += c.length()
-		} else {
-			nbit += s.table.escape.length() + 32
+	n := LineSize
+	if s.table != nil {
+		var nbit uint
+		for i := 0; i < LineSize; i += 4 {
+			if c := huffCode(s.table.lookup.get(binary.LittleEndian.Uint32(line[i:]))); c != 0 {
+				nbit += c.length()
+			} else {
+				nbit += s.table.escape.length() + 32
+			}
 		}
+		n = (int(nbit) + 7) / 8
 	}
-	size := (int(nbit) + 7) / 8
-	if size >= LineSize {
-		return Encoded{Size: LineSize, Raw: true, Generation: s.generation}
-	}
-	return Encoded{Size: size, Generation: s.generation}
+	enc := sized(n)
+	enc.Generation = s.generation
+	return enc
 }
 
 // Decompress implements Codec. It fails if the line was encoded under a

@@ -312,9 +312,8 @@ func allCodecs(sample [][]byte) []compress.Codec {
 func ratioOver(c compress.Codec, lines [][]byte) float64 {
 	var un, co float64
 	for _, l := range lines {
-		enc := c.Compress(l)
 		un += float64(compress.LineSize)
-		co += float64(enc.Size)
+		co += float64(c.Measure(l).Size)
 	}
 	if co == 0 {
 		return 1
