@@ -2,6 +2,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -231,19 +232,15 @@ func bdiReadBlock(b []byte, size int) int64 {
 	case 8:
 		return int64(binary.LittleEndian.Uint64(b))
 	default:
-		badBDIBlockSize()
-		return 0
+		//lint:allow panic-audit block size is one of the fixed BDI geometries; any other value is a codec bug
+		panic(errBadBDIBlockSize)
 	}
 }
 
-// badBDIBlockSize stays out of line (go:noinline) so bdiReadBlock can
-// inline into the //lint:hotpath fit checks with no escape of its own.
-//
-//go:noinline
-func badBDIBlockSize() {
-	//lint:allow panic-audit block size is one of the fixed BDI geometries; any other value is a codec bug
-	panic("compress: bad BDI block size")
-}
+// errBadBDIBlockSize is a package value so that bdiReadBlock panics
+// without converting a string to an interface, which escape analysis
+// would report in every //lint:hotpath fit check it inlines into.
+var errBadBDIBlockSize = errors.New("compress: bad BDI block size")
 
 // appendIntLE appends the low size bytes of v in little-endian order.
 func appendIntLE(dst []byte, v int64, size int) []byte {

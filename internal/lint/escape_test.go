@@ -102,10 +102,11 @@ func moduleRootForTest(t *testing.T) string {
 
 // TestEscapeGateRealTree is the acceptance lock: the committed baseline
 // matches a fresh -m=2 run over the annotated packages, and every
-// annotated codec/cache/scheduler function in it is clean.
+// annotated codec/cache/scheduler/memory function in it is clean.
 func TestEscapeGateRealTree(t *testing.T) {
 	root := moduleRootForTest(t)
-	pkgs, err := Load(root, []string{"./internal/cache", "./internal/compress", "./internal/sim"})
+	patterns := []string{"./internal/cache", "./internal/compress", "./internal/mem", "./internal/sim"}
+	pkgs, err := Load(root, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestEscapeGateRealTree(t *testing.T) {
 	if len(funcs) < 8 {
 		t.Fatalf("expected the codec/cache hot paths to be annotated, found %d //lint:hotpath functions", len(funcs))
 	}
-	diags := runEscapeBuild(t, root, "./internal/cache", "./internal/compress", "./internal/sim")
+	diags := runEscapeBuild(t, root, patterns...)
 	current := EscapeReport(funcs, diags)
 
 	baseline, err := os.ReadFile(filepath.Join("testdata", "escapes_baseline.txt"))

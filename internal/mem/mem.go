@@ -57,7 +57,7 @@ type Stats struct {
 // System is the shared memory hierarchy below the per-SM L1 caches.
 type System struct {
 	cfg   Config
-	banks []*l2Bank
+	banks []l2Bank
 	chans []uint64 // per-channel next-free cycle
 	stats Stats
 }
@@ -66,6 +66,9 @@ type System struct {
 func (c Config) Validate() error {
 	if c.LineSize <= 0 || c.L2Ways <= 0 || c.L2Banks <= 0 || c.DRAMChannels <= 0 {
 		return fmt.Errorf("mem: line size, L2 ways, L2 banks and DRAM channels must be positive: %+v", c)
+	}
+	if c.LineSize < 4 { // an L2 tag word must not wrap (l2Bank)
+		return fmt.Errorf("mem: line size %d is below 4 bytes", c.LineSize)
 	}
 	if c.L2SizeBytes/c.LineSize/c.L2Ways < c.L2Banks { // no set per bank, without overflowing the product
 		return fmt.Errorf("mem: L2 of %d bytes is too small for %d banks of %d ways", c.L2SizeBytes, c.L2Banks, c.L2Ways)
@@ -79,9 +82,11 @@ func New(cfg Config) *System {
 		panic(err)
 	}
 	setsPerBank := cfg.L2SizeBytes / (cfg.LineSize * cfg.L2Ways * cfg.L2Banks)
-	s := &System{cfg: cfg, chans: make([]uint64, cfg.DRAMChannels)}
-	for i := 0; i < cfg.L2Banks; i++ {
-		s.banks = append(s.banks, newL2Bank(setsPerBank, cfg.L2Ways))
+	n := setsPerBank * cfg.L2Ways
+	tags := make([]uint64, cfg.L2Banks*n)
+	s := &System{cfg: cfg, banks: make([]l2Bank, cfg.L2Banks), chans: make([]uint64, cfg.DRAMChannels)}
+	for i := range s.banks {
+		s.banks[i] = l2Bank{tags: tags[i*n : (i+1)*n : (i+1)*n], sets: uint64(setsPerBank), ways: cfg.L2Ways}
 	}
 	return s
 }
@@ -92,23 +97,25 @@ func (s *System) Stats() Stats { return s.stats }
 // Read services an L1 read miss for the line containing addr, issued at
 // cycle now, and returns the cycle at which the fill data arrives at the
 // L1. The line is installed in L2 on an L2 miss.
+//
+//lint:hotpath
 func (s *System) Read(addr uint64, now uint64) uint64 {
 	line := addr / uint64(s.cfg.LineSize)
-	bank := s.banks[line%uint64(len(s.banks))]
+	bank := &s.banks[line%uint64(len(s.banks))]
 	s.stats.L2Accesses++
 	s.stats.BytesL1L2 += uint64(s.cfg.LineSize)
 
 	start := max64(now, bank.nextFree)
 	bank.nextFree = start + s.cfg.L2Service
 
-	local := line / uint64(len(s.banks))
-	if hit, _ := bank.access(local, false, false); hit {
+	hit, wb := bank.access(line/uint64(len(s.banks)), false)
+	if hit {
 		s.stats.L2Hits++
 		return start + s.cfg.L2Latency
 	}
 	s.stats.L2Misses++
 	done := s.dramAccess(line, start+s.cfg.L2Latency, false)
-	if _, wb := bank.access(local, true, false); wb {
+	if wb {
 		// Dirty victim: write-back occupies the DRAM channel but is off
 		// the read's critical path.
 		s.dramAccess(line, start+s.cfg.L2Latency, true)
@@ -120,17 +127,19 @@ func (s *System) Read(addr uint64, now uint64) uint64 {
 // IV-C3), so stores bypass L1 and go straight to L2 (write-allocate).
 // The returned cycle is when the write is accepted; stores do not stall
 // the warp beyond issue in this model.
+//
+//lint:hotpath
 func (s *System) Write(addr uint64, now uint64) uint64 {
 	line := addr / uint64(s.cfg.LineSize)
-	bank := s.banks[line%uint64(len(s.banks))]
+	bank := &s.banks[line%uint64(len(s.banks))]
 	s.stats.L2Accesses++
 	s.stats.L2Writes++
 	s.stats.BytesL1L2 += uint64(s.cfg.LineSize)
 
 	start := max64(now, bank.nextFree)
 	bank.nextFree = start + s.cfg.L2Service
-	local := line / uint64(len(s.banks))
-	if hit, _ := bank.access(local, false, true); hit {
+	hit, wb := bank.access(line/uint64(len(s.banks)), true)
+	if hit {
 		s.stats.L2Hits++
 		return start + s.cfg.L2Service
 	}
@@ -138,13 +147,15 @@ func (s *System) Write(addr uint64, now uint64) uint64 {
 	// Write-allocate: fetch the line from DRAM, mark it dirty; the dirty
 	// data reaches DRAM later, when the line is written back on eviction.
 	s.dramAccess(line, start+s.cfg.L2Latency, false)
-	if _, wb := bank.access(local, true, true); wb {
+	if wb {
 		s.dramAccess(line, start+s.cfg.L2Latency, true)
 	}
 	return start + s.cfg.L2Service
 }
 
 // dramAccess models one DRAM transaction starting no earlier than ready.
+//
+//lint:hotpath
 func (s *System) dramAccess(line uint64, ready uint64, write bool) uint64 {
 	ch := int(line % uint64(len(s.chans)))
 	start := max64(ready, s.chans[ch])
@@ -158,89 +169,51 @@ func (s *System) dramAccess(line uint64, ready uint64, write bool) uint64 {
 	return start + s.cfg.DRAMLatency
 }
 
-// Reset clears cache contents, queue state, and statistics, so one System
-// can be reused across independent simulation runs.
-func (s *System) Reset() {
-	s.stats = Stats{}
-	for i := range s.chans {
-		s.chans[i] = 0
-	}
-	for _, b := range s.banks {
-		b.reset()
-	}
-}
-
 // l2Bank is one set-associative L2 bank with true-LRU replacement. Tags
 // are real so L2 hit rates reflect actual workload reuse, but no data is
-// stored (values live in the workload backing store).
+// stored (values live in the workload backing store). The bank's tags are
+// its window of one array the System allocates: each set is ways
+// consecutive words, most recently used first and free words (0) last.
+// A word is (local line + 1) << 1 | dirty. Lines are at least 4 bytes
+// (Validate), so local lines are below 2^62, no word wraps and 0 names
+// no line.
 type l2Bank struct {
-	sets     [][]l2Way
+	tags     []uint64
+	sets     uint64
+	ways     int
 	nextFree uint64
 }
 
-type l2Way struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	lru   uint64
-}
-
-func newL2Bank(sets, ways int) *l2Bank {
-	b := &l2Bank{sets: make([][]l2Way, sets)}
-	for i := range b.sets {
-		b.sets[i] = make([]l2Way, ways)
+// access looks a line up and installs it on a miss, in one pass over its
+// set: a hit moves the line's word to the front, a miss puts the line at
+// the front and evicts the last word when the set is full. dirty marks
+// the line modified (store). It returns whether the line hit and whether
+// a dirty victim was evicted (the caller issues the write-back). The
+// caller passes the bank-local line number (global line / numBanks) so
+// that all sets are reachable regardless of the bank count.
+//
+//lint:hotpath
+func (b *l2Bank) access(line uint64, dirty bool) (hit, wroteBack bool) {
+	i := int(line%b.sets) * b.ways
+	set := b.tags[i : i+b.ways]
+	key := line + 1
+	var d uint64
+	if dirty {
+		d = 1
 	}
-	return b
-}
-
-// access probes the bank for a line; if allocate is set, a miss installs
-// the line, evicting the LRU way. dirty marks the line modified (store).
-// It returns whether the line hit and whether a dirty victim was evicted
-// (the caller issues the write-back). The caller passes the bank-local
-// line number (global line / numBanks) so that all sets are reachable
-// regardless of the bank count.
-func (b *l2Bank) access(line uint64, allocate, dirty bool) (hit, wroteBack bool) {
-	setIdx := line % uint64(len(b.sets))
-	set := b.sets[setIdx]
-	var stamp uint64
-	victim := 0
-	for i := range set {
-		if set[i].lru > stamp {
-			stamp = set[i].lru
-		}
-	}
-	stamp++
-	oldest := ^uint64(0)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].lru = stamp
-			if dirty {
-				set[i].dirty = true
-			}
+	carry := key<<1 | d
+	for j, w := range set { // each step moves the word before j one slot back
+		set[j] = carry
+		switch {
+		case w>>1 == key:
+			set[0] = w | d
 			return true, false
+		case w == 0:
+			return false, false
 		}
-		if !set[i].valid {
-			oldest = 0
-			victim = i
-		} else if set[i].lru < oldest {
-			oldest = set[i].lru
-			victim = i
-		}
+		carry = w
 	}
-	if allocate {
-		wroteBack = set[victim].valid && set[victim].dirty
-		set[victim] = l2Way{valid: true, dirty: dirty, tag: line, lru: stamp}
-	}
-	return false, wroteBack
-}
-
-func (b *l2Bank) reset() {
-	b.nextFree = 0
-	for i := range b.sets {
-		for j := range b.sets[i] {
-			b.sets[i][j] = l2Way{}
-		}
-	}
+	return false, carry&1 != 0
 }
 
 func max64(a, b uint64) uint64 {

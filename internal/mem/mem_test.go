@@ -151,21 +151,6 @@ func TestWriteLatencyIsAcceptLatency(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	s := New(testConfig())
-	s.Read(0, 0)
-	s.Write(128, 0)
-	s.Reset()
-	if s.Stats() != (Stats{}) {
-		t.Fatalf("stats not cleared: %+v", s.Stats())
-	}
-	// After reset, previously cached lines miss again.
-	s.Read(0, 0)
-	if s.Stats().L2Misses != 1 {
-		t.Fatal("reset must clear L2 contents")
-	}
-}
-
 func TestCompletionMonotonicWithIssueTime(t *testing.T) {
 	// For a fixed address, issuing later can never complete earlier.
 	f := func(t1, t2 uint32) bool {
@@ -205,8 +190,9 @@ func TestBadConfigPanics(t *testing.T) {
 }
 
 // TestValidateRefusesUnbuildable: New panics only through Validate,
-// which refuses zero ways (once a divide by zero in New) and an L2
-// below one set per bank, and accepts exactly one set per bank.
+// which refuses zero ways (once a divide by zero in New), an L2 below
+// one set per bank and lines too short for the tag word, and accepts
+// exactly one set per bank.
 func TestValidateRefusesUnbuildable(t *testing.T) {
 	oneSet := DefaultConfig()
 	oneSet.L2SizeBytes = oneSet.LineSize * oneSet.L2Ways * oneSet.L2Banks
@@ -215,10 +201,11 @@ func TestValidateRefusesUnbuildable(t *testing.T) {
 	}
 	New(oneSet)
 
-	noWays, small := DefaultConfig(), oneSet
+	noWays, small, tinyLine := DefaultConfig(), oneSet, DefaultConfig()
 	noWays.L2Ways = 0
 	small.L2SizeBytes--
-	for _, cfg := range []Config{noWays, small} {
+	tinyLine.LineSize = 2
+	for _, cfg := range []Config{noWays, small, tinyLine} {
 		err := cfg.Validate()
 		if err == nil {
 			t.Errorf("%+v: accepted", cfg)
@@ -232,5 +219,17 @@ func TestValidateRefusesUnbuildable(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestNewAllocationsConstant: New allocates the L2's tags as one array,
+// so its allocation count does not grow with the set count.
+func TestNewAllocationsConstant(t *testing.T) {
+	big := DefaultConfig()
+	big.L2SizeBytes *= 16
+	for _, cfg := range []Config{DefaultConfig(), big} {
+		if n := testing.AllocsPerRun(10, func() { New(cfg) }); n > 4 {
+			t.Errorf("New(%d-byte L2) makes %v allocations, want at most 4", cfg.L2SizeBytes, n)
+		}
 	}
 }

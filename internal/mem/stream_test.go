@@ -79,3 +79,12 @@ func TestL2StreamPinned(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkL2Access times one Read or Write of l2Stream's mix at
+// Table II: about half hit, and a third are stores.
+func BenchmarkL2Access(b *testing.B) {
+	s := New(DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	l2Stream(s, 1, b.N, func(uint64) {})
+}
