@@ -226,7 +226,7 @@ func TestValidateRefusesUnbuildable(t *testing.T) {
 // so its allocation count does not grow with the set count.
 func TestNewAllocationsConstant(t *testing.T) {
 	big := DefaultConfig()
-	big.L2SizeBytes *= 16
+	big.L2SizeBytes *= 4
 	for _, cfg := range []Config{DefaultConfig(), big} {
 		if n := testing.AllocsPerRun(10, func() { New(cfg) }); n > 4 {
 			t.Errorf("New(%d-byte L2) makes %v allocations, want at most 4", cfg.L2SizeBytes, n)
