@@ -94,7 +94,7 @@ func runEscapeGate(root string, patterns []string, baselinePath string, update b
 	if len(patterns) == 0 {
 		// The annotated hot paths live under internal/; cmd/ binaries
 		// are cold by definition.
-		patterns = []string{"./internal/cache", "./internal/compress", "./internal/sim"}
+		patterns = []string{"./internal/cache", "./internal/compress", "./internal/mem", "./internal/sim"}
 	}
 	pkgs, err := lint.Load(root, patterns)
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"lattecc/internal/compress"
 	"lattecc/internal/invariant"
 	"lattecc/internal/modes"
+	"lattecc/internal/slab"
 )
 
 // SubBlockSize is the compressed data allocation granularity in bytes
@@ -70,19 +71,6 @@ type Config struct {
 	// latency and decompressor contention for hot compressed lines.
 	// 0 (the paper's design) disables it.
 	DecompBufferEntries int
-}
-
-// FreshCodecs returns c.Codecs with a new SC in place of each SC, so
-// each cache trains its own VFT and code book. The stateless codecs are
-// shared.
-func (c Config) FreshCodecs() [modes.NumModes]compress.Codec {
-	out := c.Codecs
-	for m, codec := range out {
-		if _, ok := codec.(*compress.SC); ok {
-			out[m] = compress.NewSC()
-		}
-	}
-	return out
 }
 
 // Stats counts cache events.
@@ -207,6 +195,8 @@ type Cache struct {
 	cfg      Config
 	ctrl     modes.Controller
 	sets     []set
+	tags     []uint64 // every set's tags; each set holds its window
+	lines    []line   // every set's lines, likewise
 	numSets  int
 	stats    Stats
 	validCnt int // valid lines across all sets (effective capacity probe)
@@ -220,6 +210,9 @@ type Cache struct {
 	// trainer is the high-capacity codec when it learns from line data
 	// (SC does; BPC is stateless), else nil.
 	trainer *compress.SC
+	// spareSC is the SC of the Buffers NewL1 built the cache on, when
+	// no codec of the cache took it: Buffers passes it on.
+	spareSC *compress.SC
 	// sizes[m] is the run's shared size table for mode m's codec when
 	// that codec is stateless and the cache was built by NewL1; nil
 	// otherwise (see SizeMemo).
@@ -248,22 +241,38 @@ func New(cfg Config, ctrl modes.Controller) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return newOn(cfg, ctrl, Buffers{})
+}
+
+// Buffers holds the arrays of a finished L1 for NewL1 to build the next
+// one on: its set, tag and line slabs and its SC. The zero value holds
+// none.
+type Buffers struct {
+	sets  []set
+	tags  []uint64
+	lines []line
+	sc    *compress.SC
+}
+
+// newOn is New on b's slabs, when they are large enough; b's SC is not
+// taken. cfg must be valid.
+func newOn(cfg Config, ctrl modes.Controller, b Buffers) *Cache {
 	numSets := cfg.NumSets()
-	c := &Cache{cfg: cfg, ctrl: ctrl, numSets: numSets, sets: make([]set, numSets)}
+	n := cfg.Ways * TagFactor
+	c := &Cache{
+		cfg: cfg, ctrl: ctrl, numSets: numSets,
+		sets: slab.Reuse(b.sets, numSets), tags: slab.Reuse(b.tags, numSets*n), lines: slab.Reuse(b.lines, numSets*n),
+	}
 	c.trainer, _ = cfg.Codecs[modes.HighCap].(*compress.SC)
 	subPerSet := cfg.Ways * cfg.LineSize / SubBlockSize
-	n := cfg.Ways * TagFactor
-	// One slab each for every set's tags and lines.
-	tags := make([]uint64, numSets*n)
-	for i := range tags {
-		tags[i] = invalidTag
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
-	lines := make([]line, numSets*n)
 	for i := range c.sets {
 		lo, hi := i*n, (i+1)*n
 		c.sets[i] = set{
-			tags:     tags[lo:hi:hi],
-			lines:    lines[lo:hi:hi],
+			tags:     c.tags[lo:hi:hi],
+			lines:    c.lines[lo:hi:hi],
 			freeSub:  subPerSet,
 			totalSub: subPerSet,
 		}
@@ -271,18 +280,30 @@ func New(cfg Config, ctrl modes.Controller) *Cache {
 	return c
 }
 
-// NewL1 builds one SM's L1 for a run. The codecs are fresh, so SC state
-// is private to the cache; a controller that reports UsesHighCap() ==
-// false gets no high-capacity codec, since nothing would read the SC
-// value table it trains on every fill and sampled hit; stateless
-// codecs measure through memo, which every L1 of the run shares; and
-// SC rebuilds its code book in the memo's scratch.
-func NewL1(cfg Config, ctrl modes.Controller, memo *SizeMemo) *Cache {
+// NewL1 builds one SM's L1 for a run on the arrays of b, a finished
+// L1's (see Buffers). Each SC codec is a new one, built on b's SC for
+// the first (compress.NewSCFrom), so SC state is private to the cache;
+// a controller that reports UsesHighCap() == false gets no
+// high-capacity codec, since nothing would read the SC value table it
+// trains on every fill and sampled hit; stateless codecs measure
+// through memo, which every L1 of the run shares; and SC rebuilds its
+// code book in the memo's scratch. It panics with cfg.Validate's error.
+func NewL1(cfg Config, ctrl modes.Controller, memo *SizeMemo, b Buffers) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if hc, ok := ctrl.(interface{ UsesHighCap() bool }); ok && !hc.UsesHighCap() {
 		cfg.Codecs[modes.HighCap] = nil
 	}
-	cfg.Codecs = cfg.FreshCodecs()
-	c := New(cfg, ctrl)
+	spare := b.sc
+	for m, codec := range cfg.Codecs {
+		if _, ok := codec.(*compress.SC); ok {
+			cfg.Codecs[m] = compress.NewSCFrom(spare)
+			spare = nil
+		}
+	}
+	c := newOn(cfg, ctrl, b)
+	c.spareSC = spare
 	for m, codec := range cfg.Codecs {
 		c.sizes[m] = memo.table(codec)
 	}
@@ -290,6 +311,30 @@ func NewL1(cfg Config, ctrl modes.Controller, memo *SizeMemo) *Cache {
 		c.trainer.ShareScratch(&memo.scScratch)
 	}
 	return c
+}
+
+// Buffers returns c's arrays for NewL1. Call it once c is no longer
+// used: the cache built on them overwrites them.
+func (c *Cache) Buffers() Buffers {
+	sc := c.trainer
+	if sc == nil {
+		sc = c.spareSC
+	}
+	return Buffers{sets: c.sets, tags: c.tags, lines: c.lines, sc: sc}
+}
+
+// AssertFresh reports an invariant violation unless c holds no line, as
+// New's cache does: every tag invalid and every line zero. It checks
+// the high-capacity SC as compress.SC.AssertFresh does.
+func (c *Cache) AssertFresh() {
+	for i, t := range c.tags {
+		if t != invalidTag || c.lines[i] != (line{}) {
+			invariant.Violationf("L1: entry %d of a new cache holds tag %#x, line %+v", i, t, c.lines[i])
+		}
+	}
+	if c.trainer != nil {
+		c.trainer.AssertFresh()
+	}
 }
 
 // LineSource renders the bytes of one line on demand. Fill asks for them

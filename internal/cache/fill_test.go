@@ -66,7 +66,7 @@ func TestFillRendersOnlyWhenNeeded(t *testing.T) {
 		{"Static-SC", modes.HighCap, n}, // the SC trainer reads every fill
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewL1(testConfig(), policy.NewStatic(tc.mode, tc.name, 256, 10), NewSizeMemo())
+			c := NewL1(testConfig(), policy.NewStatic(tc.mode, tc.name, 256, 10), NewSizeMemo(nil), Buffers{})
 			if got, want := c.TrainsHighCap(), tc.mode == modes.HighCap; got != want {
 				t.Fatalf("TrainsHighCap = %v, want %v", got, want)
 			}
@@ -82,10 +82,10 @@ func TestFillRendersOnlyWhenNeeded(t *testing.T) {
 // a line one cache measured is not rendered again by another.
 func TestFillMemoSharedAcrossCaches(t *testing.T) {
 	steadyState(t)
-	memo := NewSizeMemo()
+	memo := NewSizeMemo(nil)
 	src := newCountingSource(fillTestRegions)
-	a := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "a", 256, 10), memo)
-	b := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "b", 256, 10), memo)
+	a := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "a", 256, 10), memo, Buffers{})
+	b := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "b", 256, 10), memo, Buffers{})
 	fillLoop(a, src, 300, 300)
 	if got := fillLoop(b, src, 300, 300); got != 300 {
 		t.Errorf("second cache rendered %d more lines, want 0", got-300)
@@ -109,10 +109,10 @@ func TestFillMemoSharedAcrossCaches(t *testing.T) {
 // of canonical symbols), not a second scratch.
 func TestSCScratchSharedAcrossCaches(t *testing.T) {
 	steadyState(t)
-	memo := NewSizeMemo()
+	memo := NewSizeMemo(nil)
 	src := newCountingSource(fillTestRegions)
-	a := NewL1(testConfig(), policy.NewStatic(modes.HighCap, "a", 256, 10), memo)
-	b := NewL1(testConfig(), policy.NewStatic(modes.HighCap, "b", 256, 10), memo)
+	a := NewL1(testConfig(), policy.NewStatic(modes.HighCap, "a", 256, 10), memo, Buffers{})
+	b := NewL1(testConfig(), policy.NewStatic(modes.HighCap, "b", 256, 10), memo, Buffers{})
 	fillLoop(a, src, 512, 512)
 	fillLoop(b, src, 512, 512)
 	first := heapBytes(func() { a.trainer.Rebuild() })
@@ -154,7 +154,7 @@ func TestMemoMatchesMeasure(t *testing.T) {
 		for _, codec := range codecs {
 			cfg := testConfig()
 			cfg.Codecs[modes.LowLat] = codec
-			c := NewL1(cfg, policy.NewStatic(modes.LowLat, "s", 256, 10), NewSizeMemo())
+			c := NewL1(cfg, policy.NewStatic(modes.LowLat, "s", 256, 10), NewSizeMemo(nil), Buffers{})
 			if c.sizes[modes.LowLat] == nil {
 				t.Fatalf("%s: no size table", codec.Name())
 			}
@@ -187,7 +187,7 @@ func TestMemoMatchesMeasure(t *testing.T) {
 // flushes and checks after each that a tag is present exactly where its
 // line is valid.
 func TestTagArrayMirrorsLines(t *testing.T) {
-	c := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "s", 256, 10), NewSizeMemo())
+	c := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "s", 256, 10), NewSizeMemo(nil), Buffers{})
 	src := newCountingSource(fillTestRegions)
 	for i := uint64(0); i < 5000; i++ {
 		addr := (i * 7919 % 512) * 128
@@ -222,7 +222,7 @@ func TestTagArrayMirrorsLines(t *testing.T) {
 func TestParanoidFillChecksMemo(t *testing.T) {
 	prev := invariant.SetActive(true)
 	defer invariant.SetActive(prev)
-	c := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "s", 256, 10), NewSizeMemo())
+	c := NewL1(testConfig(), policy.NewStatic(modes.LowLat, "s", 256, 10), NewSizeMemo(nil), Buffers{})
 	src := newCountingSource(fillTestRegions)
 	if got := fillLoop(c, src, 100, 10); got != 100 {
 		t.Fatalf("paranoid fills rendered %d of 100 lines", got)
@@ -240,22 +240,31 @@ func TestParanoidFillChecksMemo(t *testing.T) {
 
 // TestSizeTableMatchesMap drives a size table with random sets over
 // small and strided key pools, which force collisions, wrap-around
-// probe runs and growth, and checks every lookup against a Go map.
+// probe runs and growth, and checks every lookup against a Go map. The
+// second pass runs on a table built on the first's arrays, which must
+// start empty at the first's size.
 func TestSizeTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tab := newSizeTable()
-	model := map[uint64]uint16{}
-	for step := 0; step < 50000; step++ {
-		k := uint64(rng.Intn(3000)) * uint64(1+rng.Intn(3)*64)
-		e, ok := tab.get(k)
-		if want, wantOK := model[k]; ok != wantOK || (ok && e != want) {
-			t.Fatalf("step %d: get(%d) = %d, %v; model %d, %v", step, k, e, ok, want, wantOK)
+	var tab *sizeTable
+	for pass := 0; pass < 2; pass++ {
+		prev := tab
+		tab = newSizeTable(prev)
+		if prev != nil && (len(tab.keys) != len(prev.keys) || &tab.keys[0] != &prev.keys[0]) {
+			t.Fatalf("table on a finished one's arrays has %d slots, want its %d, same array", len(tab.keys), len(prev.keys))
 		}
-		v := uint16(rng.Intn(257))
-		tab.set(k, v)
-		model[k] = v
-		if tab.n != len(model) || 4*tab.n > 3*len(tab.keys) {
-			t.Fatalf("step %d: %d entries in %d slots, model %d", step, tab.n, len(tab.keys), len(model))
+		model := map[uint64]uint16{}
+		for step := 0; step < 50000; step++ {
+			k := uint64(rng.Intn(3000)) * uint64(1+rng.Intn(3)*64)
+			e, ok := tab.get(k)
+			if want, wantOK := model[k]; ok != wantOK || (ok && e != want) {
+				t.Fatalf("pass %d step %d: get(%d) = %d, %v; model %d, %v", pass, step, k, e, ok, want, wantOK)
+			}
+			v := uint16(rng.Intn(257))
+			tab.set(k, v)
+			model[k] = v
+			if tab.n != len(model) || 4*tab.n > 3*len(tab.keys) {
+				t.Fatalf("pass %d step %d: %d entries in %d slots, model %d", pass, step, tab.n, len(tab.keys), len(model))
+			}
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 
 	"lattecc/internal/compress"
+	"lattecc/internal/invariant"
+	"lattecc/internal/slab"
 )
 
 // SizeMemo holds the compressed sizes the stateless codecs (BDI, FPC,
@@ -17,15 +19,46 @@ import (
 // its code book in.
 //
 // One memo serves every L1 of one run; the SMs tick serially, so it
-// needs no lock, and no two SC rebuilds overlap. It must not outlive
-// the run's data source.
+// needs no lock, and no two SC rebuilds overlap. Its entries must not
+// outlive the run's data source; its arrays may serve the next run's
+// memo (NewSizeMemo).
 type SizeMemo struct {
 	tables    [4]*sizeTable // BDI, FPC, BPC, C-PACK
 	scScratch compress.SCScratch
 }
 
-// NewSizeMemo returns an empty memo.
-func NewSizeMemo() *SizeMemo { return &SizeMemo{} }
+// NewSizeMemo returns an empty memo, on the arrays of spare, the memo of
+// a finished run, when it is non-nil: every table spare had starts
+// empty at its size, and the SC scratch is spare's.
+func NewSizeMemo(spare *SizeMemo) *SizeMemo {
+	m := &SizeMemo{}
+	if spare != nil {
+		m.scScratch = spare.scScratch
+		for i, t := range spare.tables {
+			if t != nil {
+				m.tables[i] = newSizeTable(t)
+			}
+		}
+	}
+	return m
+}
+
+// AssertFresh reports an invariant violation unless m holds no entry.
+func (m *SizeMemo) AssertFresh() {
+	for i, t := range m.tables {
+		if t == nil {
+			continue
+		}
+		if t.n != 0 {
+			invariant.Violationf("size memo: table %d of a new memo holds %d entries", i, t.n)
+		}
+		for j, k := range t.keys {
+			if k != invalidTag {
+				invariant.Violationf("size memo: slot %d of table %d of a new memo holds line %#x", j, i, k)
+			}
+		}
+	}
+}
 
 // table returns codec's size table, or nil for a nil memo and for a
 // codec whose sizes depend on more than the line (SC, unknown codecs).
@@ -47,7 +80,7 @@ func (m *SizeMemo) table(codec compress.Codec) *sizeTable {
 		return nil
 	}
 	if m.tables[i] == nil {
-		m.tables[i] = newSizeTable()
+		m.tables[i] = newSizeTable(nil)
 	}
 	return m.tables[i]
 }
@@ -74,19 +107,26 @@ type sizeTable struct {
 	shift uint
 }
 
-func newSizeTable() *sizeTable {
+// newSizeTable returns an empty table of 16 slots, or, on the arrays of
+// spare, a finished run's table, of spare's size.
+func newSizeTable(spare *sizeTable) *sizeTable {
 	t := &sizeTable{}
-	t.alloc(16)
+	if spare == nil {
+		t.alloc(16, nil, nil)
+	} else {
+		t.alloc(len(spare.keys), spare.keys, spare.vals)
+	}
 	return t
 }
 
-// alloc gives the table size free slots; size is a power of two.
-func (t *sizeTable) alloc(size int) {
-	t.keys = make([]uint64, size)
+// alloc gives the table size free slots, on keys and vals when they are
+// large enough; size is a power of two.
+func (t *sizeTable) alloc(size int, keys []uint64, vals []uint16) {
+	t.keys = slab.Reuse(keys, size)
 	for i := range t.keys {
 		t.keys[i] = invalidTag
 	}
-	t.vals = make([]uint16, size)
+	t.vals = slab.Reuse(vals, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
@@ -131,7 +171,7 @@ func (t *sizeTable) set(lineAddr uint64, e uint16) {
 // grow doubles the table and reinserts every entry.
 func (t *sizeTable) grow() {
 	keys, vals := t.keys, t.vals
-	t.alloc(2 * len(keys))
+	t.alloc(2*len(keys), nil, nil)
 	for j, k := range keys {
 		if k != invalidTag {
 			i := t.slot(k)

@@ -513,7 +513,7 @@ func (r *refVFT) sorted() []ValueCount {
 func scFromCounts(counts map[uint32]uint16) *SC {
 	sc := NewSC()
 	b := newHuffBuilder(len(counts) + 1)
-	sc.table = newHuffTable(len(counts) + 1)
+	sc.table = newHuffTable(len(counts)+1, nil)
 	for v, c := range counts {
 		b.counts = append(b.counts, ValueCount{Value: v, Count: c})
 	}

@@ -3,6 +3,9 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+
+	"lattecc/internal/invariant"
+	"lattecc/internal/slab"
 )
 
 // SC implements Huffman-coding based Statistical Compression (Arelakis &
@@ -28,10 +31,12 @@ import (
 // rejects a line from an older generation before it reads the table.
 // The scratch a book is built in is dead once Rebuild returns, so the
 // codecs of one run share one (ShareScratch); a codec left alone makes
-// its own on its first Rebuild.
+// its own on its first Rebuild. A codec built by NewSCFrom takes the
+// tables of a finished one.
 type SC struct {
 	vft        *VFT
 	table      *huffTable
+	spareBook  *huffTable // a finished codec's code book, for the first Rebuild to write over
 	scratch    *SCScratch
 	generation uint64
 }
@@ -39,7 +44,37 @@ type SC struct {
 // NewSC returns an SC codec with an empty value-frequency table and no
 // code book. Until the first Rebuild, Compress stores lines raw (the
 // hardware behaves identically while the first period's VFT trains).
-func NewSC() *SC { return &SC{vft: NewVFT(VFTEntries)} }
+func NewSC() *SC { return NewSCFrom(nil) }
+
+// NewSCFrom is NewSC on the tables of spare, a codec nothing uses any
+// more (nil allocates them): the VFT is cleared here, and the first
+// Rebuild writes its code book over spare's. Until then the codec has
+// no code book, like NewSC's. spare's scratch is not taken.
+func NewSCFrom(spare *SC) *SC {
+	var slots []uint64
+	var book *huffTable
+	if spare != nil {
+		slots, book = spare.vft.table.slots, spare.table
+		if book == nil {
+			book = spare.spareBook
+		}
+	}
+	return &SC{vft: newVFT(VFTEntries, slots), spareBook: book}
+}
+
+// AssertFresh reports an invariant violation unless s reads as NewSC's:
+// an empty VFT, no code book, and generation 0.
+func (s *SC) AssertFresh() {
+	if s.vft.size != 0 || s.table != nil || s.generation != 0 {
+		invariant.Violationf("SC: new codec holds %d VFT values, code book %v, generation %d",
+			s.vft.size, s.table != nil, s.generation)
+	}
+	for i, slot := range s.vft.table.slots {
+		if slot != 0 {
+			invariant.Violationf("SC: VFT slot %d of a new codec is %#x, want 0", i, slot)
+		}
+	}
+}
 
 // SCScratch is the working memory of a code-book rebuild. Its contents
 // are dead between rebuilds, so SC codecs that never rebuild at the
@@ -89,7 +124,8 @@ func (s *SC) Rebuild() bool {
 		s.scratch = new(SCScratch)
 	}
 	if s.table == nil {
-		s.table = newHuffTable(s.vft.capacity + 1)
+		s.table = newHuffTable(s.vft.capacity+1, s.spareBook)
+		s.spareBook = nil
 	}
 	b := &s.scratch.b
 	b.reserve(s.vft.capacity + 1)
@@ -243,8 +279,11 @@ type VFT struct {
 }
 
 // NewVFT returns an empty VFT with the given entry capacity.
-func NewVFT(capacity int) *VFT {
-	return &VFT{capacity: capacity, table: newValueTable(capacity)}
+func NewVFT(capacity int) *VFT { return newVFT(capacity, nil) }
+
+// newVFT is NewVFT on slots, when they are enough.
+func newVFT(capacity int, slots []uint64) *VFT {
+	return &VFT{capacity: capacity, table: newValueTable(capacity, slots)}
 }
 
 // valueTable maps 32-bit values to nonzero 32-bit payloads: the VFT's
@@ -259,12 +298,14 @@ type valueTable struct {
 	mask  uint32
 }
 
-func newValueTable(entries int) valueTable {
+// newValueTable returns an empty table for up to entries values, on
+// slots when they are enough.
+func newValueTable(entries int, slots []uint64) valueTable {
 	n := 16
 	for n < 4*entries {
 		n <<= 1
 	}
-	return valueTable{slots: make([]uint64, n), mask: uint32(n - 1)}
+	return valueTable{slots: slab.Reuse(slots, n), mask: uint32(n - 1)}
 }
 
 // hashSlot mixes v (murmur3 finalizer) into a starting probe index.
@@ -398,12 +439,18 @@ type huffTable struct {
 	symbols    []huffSymbol // in canonical order
 }
 
-// newHuffTable sizes a table for books of up to maxSymbols symbols; the
-// escape is one of them but never enters the index.
-func newHuffTable(maxSymbols int) *huffTable {
+// newHuffTable sizes a table for books of up to maxSymbols symbols, on
+// spare's arrays when they are large enough (nil allocates); the escape
+// is one of them but never enters the index.
+func newHuffTable(maxSymbols int, spare *huffTable) *huffTable {
+	var slots []uint64
+	var symbols []huffSymbol
+	if spare != nil {
+		slots, symbols = spare.lookup.slots, spare.symbols
+	}
 	return &huffTable{
-		lookup:  newValueTable(maxSymbols - 1),
-		symbols: make([]huffSymbol, 0, maxSymbols),
+		lookup:  newValueTable(maxSymbols-1, slots),
+		symbols: slab.Reuse(symbols, maxSymbols)[:0],
 	}
 }
 

@@ -142,6 +142,10 @@ type Suite struct {
 
 	fp uint64 // cfg.Fingerprint(), precomputed for store keys
 
+	// spares passes a finished leaf simulation's machine arrays to the
+	// next leaf simulation of this suite or its children.
+	spares *spares
+
 	mu sync.Mutex //lint:mutex nocalls
 	//lint:guards mu
 	results map[key]*entry
@@ -160,21 +164,75 @@ func NewSuite(cfg sim.Config) *Suite {
 	return &Suite{
 		cfg:     cfg,
 		fp:      cfg.Fingerprint(),
+		spares:  new(spares),
 		results: make(map[key]*entry),
 		queued:  make(map[key]bool),
 	}
 }
 
-// child returns a fresh suite over cfg inheriting the parent's Jobs and
-// Reporter, for experiments that re-run subsets on modified machines
-// (48KB L1, write-through, ablations).
+// child returns a fresh suite over cfg inheriting the parent's Jobs,
+// Reporter, Store, Slots and spare buffers, for experiments that re-run
+// subsets on modified machines (48KB L1, write-through, ablations).
 func (s *Suite) child(cfg sim.Config) *Suite {
 	c := NewSuite(cfg)
 	c.Jobs = s.Jobs
 	c.Reporter = s.Reporter
 	c.Store = s.Store
 	c.Slots = s.Slots
+	c.spares = s.spares
 	return c
+}
+
+// spares holds the machine arrays (sim.Buffers) of finished leaf
+// simulations for the next leaf simulations of a suite and its children
+// to build on. It keeps them only while one of those simulations is in
+// flight: when the last returns, it drops them all, so an idle suite,
+// such as a daemon's resident one, holds none. A simulation that panics
+// returns none. mu is nocalls, so a simulation builds its arrays, or
+// clears the ones it took, with mu released.
+type spares struct {
+	mu sync.Mutex //lint:mutex nocalls
+	//lint:guards mu
+	free []*sim.Buffers
+	//lint:guards mu
+	inFlight int
+}
+
+// take counts one more leaf simulation in flight and returns the
+// buffers it builds on: a spare set, or nil for new ones. A nil
+// receiver has none.
+func (p *spares) take() *sim.Buffers {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.inFlight++
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	b := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return b
+}
+
+// put ends a leaf simulation that take started, keeping its buffers b
+// (nil after a panic) while another is in flight.
+func (p *spares) put(b *sim.Buffers) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.inFlight--
+	switch {
+	case p.inFlight == 0:
+		p.free = nil
+	case b != nil:
+		p.free = append(p.free, b)
+	}
 }
 
 // Fingerprint returns the machine-config fingerprint the suite keys
@@ -382,7 +440,7 @@ func (s *Suite) simulate(workloadName string, p Policy, v Variant, wait func(boo
 			s.takeSlot(wait)
 			defer func() { <-s.Slots }()
 		}
-		return simulateOn(cfg, w, p, schedule)
+		return simulateOn(cfg, w, p, schedule, s.spares)
 	}
 	if p == KernelOpt {
 		return kernelOpt(func(st Policy) (sim.Result, error) {
@@ -408,14 +466,19 @@ func (s *Suite) takeSlot(wait func(bool)) {
 	s.Slots <- struct{}{}
 }
 
-// simulateOn runs w under p on cfg, uncached; schedule is Kernel-OPT's
-// per-kernel mode list (nil for every other policy).
-func simulateOn(cfg sim.Config, w trace.Workload, p Policy, schedule []modes.Mode) (sim.Result, error) {
+// simulateOn runs w under p on cfg, uncached, on buffers from spares
+// (nil builds on new ones) and returns them there; schedule is
+// Kernel-OPT's per-kernel mode list (nil for every other policy).
+func simulateOn(cfg sim.Config, w trace.Workload, p Policy, schedule []modes.Mode, spares *spares) (sim.Result, error) {
 	factory, err := factoryFor(&cfg, p, schedule)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	res := sim.New(cfg, w, factory).Run()
+	var done *sim.Buffers // stays nil if the simulation panics
+	defer func() { spares.put(done) }()
+	m := sim.NewOn(cfg, w, factory, spares.take())
+	res := m.Run()
+	done = m.Buffers()
 	res.Policy = string(p)
 	return res, nil
 }
@@ -521,7 +584,7 @@ func (s *Suite) MissReduction(workloadName string, p Policy) (float64, error) {
 // Kernel-OPT is supported: the three static runs execute first.
 func RunWorkload(cfg sim.Config, w trace.Workload, p Policy) (res sim.Result, err error) {
 	defer recoverSim(&err)
-	leaf := func(p Policy, schedule []modes.Mode) (sim.Result, error) { return simulateOn(cfg, w, p, schedule) }
+	leaf := func(p Policy, schedule []modes.Mode) (sim.Result, error) { return simulateOn(cfg, w, p, schedule, nil) }
 	if p == KernelOpt {
 		return kernelOpt(func(st Policy) (sim.Result, error) { return leaf(st, nil) }, leaf)
 	}

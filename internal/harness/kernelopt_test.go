@@ -17,7 +17,7 @@ import (
 func assertScheduledIsStatic(t *testing.T, cfg sim.Config, w trace.Workload) {
 	t.Helper()
 	for _, st := range oracleStatics {
-		want, err := simulateOn(cfg, w, st.p, nil)
+		want, err := simulateOn(cfg, w, st.p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +25,7 @@ func assertScheduledIsStatic(t *testing.T, cfg sim.Config, w trace.Workload) {
 		for i := range schedule {
 			schedule[i] = st.m
 		}
-		got, err := simulateOn(cfg, w, KernelOpt, schedule)
+		got, err := simulateOn(cfg, w, KernelOpt, schedule, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestKernelOptUniformServesStaticCopy(t *testing.T) {
 	}
 	simCfg := cfg
 	simCfg.SampleEvery = 512
-	want, err := simulateOn(simCfg, w, KernelOpt, schedule)
+	want, err := simulateOn(simCfg, w, KernelOpt, schedule, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

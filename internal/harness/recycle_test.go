@@ -2,9 +2,12 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
+	"lattecc/internal/fault"
+	"lattecc/internal/invariant"
 	"lattecc/internal/tracefile"
 	"lattecc/internal/workload"
 )
@@ -85,6 +88,92 @@ func TestRecycledRunsMatchGolden(t *testing.T) {
 		if got[i] != e.want {
 			t.Errorf("%s %s/%s %+v: StateHash %#016x, want %#016x",
 				e.suite, e.req.Workload, e.req.Policy, e.req.Variant, got[i], e.want)
+		}
+	}
+}
+
+// spareCount returns how many spare buffer sets s's family holds and
+// how many of its leaf simulations are in flight.
+func spareCount(s *Suite) (free, inFlight int) {
+	s.spares.mu.Lock()
+	defer s.spares.mu.Unlock()
+	return len(s.spares.free), s.spares.inFlight
+}
+
+// TestSparesOnlyWhileBusy: a finished leaf simulation's buffers are kept
+// while another leaf simulation of the suite family is in flight, taken
+// by the next one, and dropped when the last one returns, so an idle
+// suite holds none.
+func TestSparesOnlyWhileBusy(t *testing.T) {
+	s := NewSuite(tinyConfig())
+	c := s.child(tinyConfig())
+	s.MustRun("BO", Uncompressed, Variant{})
+	if free, n := spareCount(s); free != 0 || n != 0 {
+		t.Fatalf("after a lone run: %d spares, %d in flight; want none", free, n)
+	}
+
+	held := s.spares.take() // stands for a leaf simulation in flight throughout
+	s.MustRun("BO", StaticBDI, Variant{})
+	if free, _ := spareCount(s); free != 1 {
+		t.Fatalf("after a run beside one in flight: %d spares, want 1", free)
+	}
+	c.MustRun("FW", StaticBDI, Variant{}) // takes them, then returns them
+	if free, n := spareCount(s); free != 1 || n != 1 {
+		t.Fatalf("after a child's run: %d spares, %d in flight; want 1, 1", free, n)
+	}
+	s.spares.put(held)
+	if free, n := spareCount(s); free != 0 || n != 0 {
+		t.Fatalf("once idle: %d spares, %d in flight; want none", free, n)
+	}
+
+	// Two goroutines overlap their runs; once both return, nothing is kept.
+	s.Prefetch(RunRequest{"SS", LatteCC, Variant{}}, RunRequest{"HW", LatteCC, Variant{}},
+		RunRequest{"NW", StaticSC, Variant{}}, RunRequest{"KM", Uncompressed, Variant{}})
+	s.Jobs = 2
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if free, n := spareCount(s); free != 0 || n != 0 {
+		t.Fatalf("after RunAll: %d spares, %d in flight; want none", free, n)
+	}
+}
+
+// TestPanickedRunDoesNotRecycle: a leaf simulation that panics (an
+// injected codec fault tripping the paranoid round-trip check) hands no
+// buffers on, even with another simulation in flight, and the suite's
+// next runs, the retry and one on its buffers, hash as
+// testdata/golden_hashes_tiny.txt says.
+func TestPanickedRunDoesNotRecycle(t *testing.T) {
+	prev := invariant.SetActive(true)
+	defer invariant.SetActive(prev)
+	defer fault.Reset()
+
+	s := NewSuite(tinyConfig())
+	held := s.spares.take() // stands for a leaf simulation in flight throughout
+	defer s.spares.put(held)
+
+	fault.Arm("codec.decode", 1)
+	_, err := s.Run("BO", StaticBDI, Variant{})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want *PanicError from the poisoned run, got %v", err)
+	}
+	if free, n := spareCount(s); free != 0 || n != 1 {
+		t.Fatalf("after the panic: %d spares, %d in flight; want 0, 1", free, n)
+	}
+	for _, r := range []struct {
+		workload string
+		want     uint64
+	}{
+		{"BO", 0xf8dbee4502cf2ef0}, // the retry, on new buffers
+		{"FW", 0xb44d8a1329a1ea13}, // on the retry's buffers
+	} {
+		res, err := s.Run(r.workload, StaticBDI, Variant{})
+		if err != nil {
+			t.Fatalf("%s: %v", r.workload, err)
+		}
+		if got := res.StateHash(); got != r.want {
+			t.Errorf("%s/%s after the panic: StateHash %#016x, want %#016x", r.workload, StaticBDI, got, r.want)
 		}
 	}
 }

@@ -10,7 +10,12 @@
 // minimum 120-cycle L2 access latency, minimum 230-cycle DRAM latency.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"lattecc/internal/invariant"
+	"lattecc/internal/slab"
+)
 
 // Config describes the memory system.
 type Config struct {
@@ -57,6 +62,7 @@ type Stats struct {
 // System is the shared memory hierarchy below the per-SM L1 caches.
 type System struct {
 	cfg   Config
+	tags  []uint64 // every bank's tags; each l2Bank holds its window
 	banks []l2Bank
 	chans []uint64 // per-channel next-free cycle
 	stats Stats
@@ -77,18 +83,40 @@ func (c Config) Validate() error {
 }
 
 // New creates a memory system; it panics with cfg.Validate's error.
-func New(cfg Config) *System {
+func New(cfg Config) *System { return NewOn(cfg, Buffers{}) }
+
+// Buffers holds the tag array of a finished System for NewOn to build
+// the next one on. The zero value holds none.
+type Buffers struct{ tags []uint64 }
+
+// NewOn is New on b's tag array, when it is large enough; the System
+// zeroes it and owns it from here on.
+func NewOn(cfg Config, b Buffers) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	setsPerBank := cfg.L2SizeBytes / (cfg.LineSize * cfg.L2Ways * cfg.L2Banks)
 	n := setsPerBank * cfg.L2Ways
-	tags := make([]uint64, cfg.L2Banks*n)
-	s := &System{cfg: cfg, banks: make([]l2Bank, cfg.L2Banks), chans: make([]uint64, cfg.DRAMChannels)}
+	tags := slab.Reuse(b.tags, cfg.L2Banks*n)
+	s := &System{cfg: cfg, tags: tags, banks: make([]l2Bank, cfg.L2Banks), chans: make([]uint64, cfg.DRAMChannels)}
 	for i := range s.banks {
 		s.banks[i] = l2Bank{tags: tags[i*n : (i+1)*n : (i+1)*n], sets: uint64(setsPerBank), ways: cfg.L2Ways}
 	}
 	return s
+}
+
+// Buffers returns s's tag array for NewOn. Call it once s is no longer
+// used: the System built on it overwrites it.
+func (s *System) Buffers() Buffers { return Buffers{tags: s.tags} }
+
+// AssertFresh reports an invariant violation unless s holds no line,
+// as New's System does: every tag word is 0.
+func (s *System) AssertFresh() {
+	for i, w := range s.tags {
+		if w != 0 {
+			invariant.Violationf("L2: tag word %d of a new memory system is %#x, want 0", i, w)
+		}
+	}
 }
 
 // Stats returns a copy of the event counters.

@@ -112,6 +112,7 @@ func (r Result) StateHash() uint64 {
 type Sim struct {
 	cfg  Config
 	mem  *mem.System
+	memo *cache.SizeMemo
 	sms  []*sm
 	work trace.Workload
 }
@@ -120,22 +121,64 @@ type Sim struct {
 // controller for each SM (use the same policy for all SMs, as the paper
 // does). It panics with cfg.Validate's error.
 func New(cfg Config, work trace.Workload, factory ControllerFactory) *Sim {
+	return NewOn(cfg, work, factory, nil)
+}
+
+// Buffers holds the machine arrays of a finished simulation: its L2
+// tags, its size memo's tables and SC scratch, and each L1's slabs and
+// SC. NewOn builds the next simulation on them, and it runs exactly as
+// on new arrays: each layer's constructor clears what it takes. Nothing
+// a Result references is among them.
+type Buffers struct {
+	mem  mem.Buffers
+	memo *cache.SizeMemo
+	l1   []cache.Buffers
+}
+
+// NewOn is New on b, the buffers of a finished simulation (nil builds on
+// new arrays). The Sim owns them until its Run returns; Buffers then
+// hands them on. Under invariant checks it asserts that they read as
+// new before the first cycle.
+func NewOn(cfg Config, work trace.Workload, factory ControllerFactory, b *Buffers) *Sim {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := mem.New(cfg.Mem)
-	s := &Sim{cfg: cfg, mem: m, work: work}
+	if b == nil {
+		b = &Buffers{}
+	}
+	m := mem.NewOn(cfg.Mem, b.mem)
+	// One size memo per run, shared by every SM's L1: the SMs tick
+	// serially, and its entries die with the Sim.
+	s := &Sim{cfg: cfg, mem: m, memo: cache.NewSizeMemo(b.memo), work: work}
 	numSets := cfg.Cache.NumSets()
 	data := work.Data()
-	// One size memo per run, shared by every SM's L1: the SMs tick
-	// serially, and the memo dies with the Sim.
-	memo := cache.NewSizeMemo()
 	for i := 0; i < cfg.NumSMs; i++ {
+		var l1b cache.Buffers
+		if i < len(b.l1) {
+			l1b = b.l1[i]
+		}
 		ctrl := factory(numSets)
-		l1 := cache.NewL1(cfg.Cache, ctrl, memo)
+		l1 := cache.NewL1(cfg.Cache, ctrl, s.memo, l1b)
 		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, l1, m, data))
 	}
+	if invariant.Active() {
+		m.AssertFresh()
+		s.memo.AssertFresh()
+		for _, sm := range s.sms {
+			sm.l1.AssertFresh()
+		}
+	}
 	return s
+}
+
+// Buffers returns s's machine arrays for NewOn. Call it once Run has
+// returned, and use s no more: the Sim built on them overwrites them.
+func (s *Sim) Buffers() *Buffers {
+	b := &Buffers{mem: s.mem.Buffers(), memo: s.memo, l1: make([]cache.Buffers, len(s.sms))}
+	for i, m := range s.sms {
+		b.l1[i] = m.l1.Buffers()
+	}
+	return b
 }
 
 // Run executes every kernel of the workload and returns the result.

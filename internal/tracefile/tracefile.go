@@ -234,7 +234,7 @@ func Replay(r *Reader, cacheCfg cache.Config, factory func(numSets int) modes.Co
 	res := ReplayResult{Workload: r.Workload(), Policy: policyName}
 	caches := map[int]*cache.Cache{}
 	numSets := cacheCfg.SizeBytes / (cacheCfg.LineSize * cacheCfg.Ways)
-	memo := cache.NewSizeMemo()
+	memo := cache.NewSizeMemo(nil)
 	lines := trace.NewLineBuffer(data, cacheCfg.LineSize)
 	for {
 		rec, err := r.Next()
@@ -249,7 +249,7 @@ func Replay(r *Reader, cacheCfg cache.Config, factory func(numSets int) modes.Co
 		}
 		c := caches[rec.SM]
 		if c == nil {
-			c = cache.NewL1(cacheCfg, factory(numSets), memo)
+			c = cache.NewL1(cacheCfg, factory(numSets), memo, cache.Buffers{})
 			caches[rec.SM] = c
 		}
 		res.Records++
